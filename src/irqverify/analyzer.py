@@ -37,13 +37,7 @@ from .domain import (
     transfer,
     widen,
 )
-from .feasibility import (
-    FactBase,
-    FeasibilityResult,
-    cross_pairs,
-    extract_facts,
-    must_not_read_from,
-)
+from .feasibility import FactBase, FeasibilityResult, extract_facts, must_not_read_from
 from .ir import Assert, Program
 
 #: Per-variable interference: ordered (store node, written value) pairs.
@@ -220,12 +214,17 @@ def _merge_interferences(maps: list[InterferenceMap]) -> InterferenceMap:
     return {name: tuple(sorted(pairs, key=lambda p: p[0])) for name, pairs in sorted(merged.items())}
 
 
+def prepare(program: Program) -> tuple[list[Cfg], FactBase, FeasibilityResult]:
+    """Graphs, facts and rejected pairs: everything before the fixpoint."""
+    cfgs, infos = build_all(program)
+    facts = extract_facts(program, cfgs, infos)
+    return cfgs, facts, must_not_read_from(facts)
+
+
 def analyze(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
     """Run the full modular analysis and keep the internals around."""
     config = config or AnalysisConfig()
-    cfgs, infos = build_all(program)
-    facts = extract_facts(program, cfgs, infos)
-    feas = must_not_read_from(facts)
+    cfgs, facts, feas = prepare(program)
     feas_active = feas if config.pruning else None
 
     global_names = program.global_names()
@@ -271,14 +270,12 @@ def analyze(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         for name, pairs in collect_interferences(g, states).items():
             interference_sizes[name] += len(pairs)
 
-    total = len(cross_pairs(facts))
-    pruned = len(feas.must_not_read_from)
     report = AnalysisReport(
         verdicts=tuple(verdicts),
         iterations=iterations,
         interference_sizes=interference_sizes,
-        pairs_total=total,
-        pairs_pruned=pruned,
+        pairs_total=feas.pairs_total,
+        pairs_pruned=len(feas.must_not_read_from),
         pruning_enabled=config.pruning,
     )
     return AnalysisResult(report=report, node_states=states, facts=facts,

@@ -9,7 +9,8 @@ Subcommands:
   oracle; a proved assertion the oracle can violate is a fatal error.
 
 Exit codes: 0 all assertions proved (or none), 1 at least one warning,
-2 input error, 3 soundness discrepancy in ``compare``.
+2 input error (including input nested too deeply to process), 3 soundness
+discrepancy in ``compare``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .analyzer import AnalysisConfig, AnalysisReport, analyze
+from .analyzer import AnalysisConfig, AnalysisReport, analyze, prepare
 from .cfg import dump_cfg
 from .feasibility import dump_facts
 from .ir import Program, validate
@@ -90,9 +91,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_facts(args: argparse.Namespace) -> int:
-    program = _load(args.path)
-    result = analyze(program, AnalysisConfig())
-    print("\n".join(dump_facts(result.facts, result.feasibility)))
+    _, facts, feasibility = prepare(_load(args.path))
+    print("\n".join(dump_facts(facts, feasibility)))
     return 0
 
 
@@ -215,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
 
 

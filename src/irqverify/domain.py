@@ -241,13 +241,6 @@ def join(a: AbstractState, b: AbstractState) -> AbstractState:
     return AbstractState({k: a._bindings[k].join(b._bindings[k]) for k in keys})
 
 
-def join_all(states: Iterable[AbstractState]) -> AbstractState:
-    out = AbstractState.bottom()
-    for s in states:
-        out = join(out, s)
-    return out
-
-
 def leq(a: AbstractState, b: AbstractState) -> bool:
     """Pointwise interval containment; bottom is below everything."""
     if a.is_bottom:

@@ -6,20 +6,22 @@ priority scheduling. The derived relation is an under-approximation: a pair in
 it is guaranteed infeasible on every concrete execution, but feasible-looking
 pairs are left alone.
 
-Three base relations feed the result:
+The rules combine two derived relations with one predicate:
 
-* ``no_preempt(s1, s2)``: s1's handler can never interleave into s2's,
-  because s2's priority is at least s1's (equal priorities never preempt).
 * ``covered_load(l, v)``: a same-handler store of v precedes l on every
   path, so l reads locally unless someone preempts in between.
 * ``intercepted_store(s, v)``: a same-handler store of v follows s on every
   path, so s's value is overwritten before the handler returns.
+* ``NoPreempt(s1, s2)``: s1's handler can never interleave into s2's,
+  because s2's priority is at least s1's (equal priorities never preempt).
+  The rules evaluate it per pair; only ``dump_facts`` expands it into the
+  node-pair relation, through ``no_preempt``.
 
 A cross-handler pair (load l, store s) of the same variable is rejected when
 (1) l is covered and s is intercepted, (2) l is covered and s's handler cannot
 preempt l's, or (3) s is intercepted and l's handler cannot preempt s's. All
-rules are non-recursive, so one stratified pass over the finite relations
-evaluates them; no fixpoint or external solver is involved.
+rules are non-recursive, so one pass over the cross-handler pairs evaluates
+them; no fixpoint or external solver is involved.
 """
 
 from __future__ import annotations
@@ -39,15 +41,14 @@ class FactBase:
     pri: dict[NodeId, int]
     load: frozenset[tuple[NodeId, str]]
     store: frozenset[tuple[NodeId, str]]
-    handler_of: dict[NodeId, str]
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    no_preempt: frozenset[tuple[NodeId, NodeId]]
     covered_load: frozenset[tuple[NodeId, str]]
     intercepted_store: frozenset[tuple[NodeId, str]]
     must_not_read_from: frozenset[tuple[NodeId, NodeId, str]]
+    pairs_total: int
 
 
 def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) -> FactBase:
@@ -57,7 +58,6 @@ def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) ->
     pri: dict[NodeId, int] = {}
     load: set[tuple[NodeId, str]] = set()
     store: set[tuple[NodeId, str]] = set()
-    handler_of: dict[NodeId, str] = {}
     priorities = {h.name: h.priority for h in program.handlers}
     for g, info in zip(cfgs, infos):
         dom |= dominators(g)
@@ -65,26 +65,20 @@ def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) ->
         p = priorities[g.handler]
         for n in g.nodes:
             pri[n] = p
-            handler_of[n] = g.handler
         load |= info.loads
         store |= info.stores
     return FactBase(dom=frozenset(dom), postdom=frozenset(postdom), pri=pri,
-                    load=frozenset(load), store=frozenset(store), handler_of=handler_of)
-
-
-def no_preempt(fb: FactBase) -> frozenset[tuple[NodeId, NodeId]]:
-    """(s1, s2) where s1 can never preempt s2: pri(s2) >= pri(s1), cross-handler."""
-    nodes = sorted(fb.pri)
-    return frozenset(
-        (s1, s2)
-        for s1 in nodes
-        for s2 in nodes
-        if fb.handler_of[s1] != fb.handler_of[s2] and fb.pri[s2] >= fb.pri[s1]
-    )
+                    load=frozenset(load), store=frozenset(store))
 
 
 def _cannot_preempt(fb: FactBase, s1: NodeId, s2: NodeId) -> bool:
-    return fb.handler_of[s1] != fb.handler_of[s2] and fb.pri[s2] >= fb.pri[s1]
+    """NoPreempt(s1, s2): cross-handler and pri(s2) >= pri(s1)."""
+    return s1.handler != s2.handler and fb.pri[s2] >= fb.pri[s1]
+
+
+def no_preempt(fb: FactBase) -> frozenset[tuple[NodeId, NodeId]]:
+    """The NoPreempt relation expanded over all node pairs, for the facts dump."""
+    return frozenset((s1, s2) for s1 in fb.pri for s2 in fb.pri if _cannot_preempt(fb, s1, s2))
 
 
 def covered_loads(fb: FactBase) -> frozenset[tuple[NodeId, str]]:
@@ -97,7 +91,7 @@ def covered_loads(fb: FactBase) -> frozenset[tuple[NodeId, str]]:
         (l, v)
         for (l, v) in fb.load
         for (s, w) in fb.store
-        if w == v and s != l and fb.handler_of[s] == fb.handler_of[l] and (s, l) in fb.dom
+        if w == v and s != l and s.handler == l.handler and (s, l) in fb.dom
     )
 
 
@@ -107,7 +101,7 @@ def intercepted_stores(fb: FactBase) -> frozenset[tuple[NodeId, str]]:
         (s1, v)
         for (s1, v) in fb.store
         for (s2, w) in fb.store
-        if w == v and s2 != s1 and fb.handler_of[s2] == fb.handler_of[s1] and (s2, s1) in fb.postdom
+        if w == v and s2 != s1 and s2.handler == s1.handler and (s2, s1) in fb.postdom
     )
 
 
@@ -117,7 +111,7 @@ def cross_pairs(fb: FactBase) -> frozenset[tuple[NodeId, NodeId, str]]:
         (l, s, v)
         for (l, v) in fb.load
         for (s, w) in fb.store
-        if w == v and fb.handler_of[l] != fb.handler_of[s]
+        if w == v and l.handler != s.handler
     )
 
 
@@ -129,8 +123,9 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
     """
     covered = covered_loads(fb)
     intercepted = intercepted_stores(fb)
+    pairs = cross_pairs(fb)
     rejected: set[tuple[NodeId, NodeId, str]] = set()
-    for (l, s, v) in cross_pairs(fb):
+    for (l, s, v) in pairs:
         is_covered = (l, v) in covered
         is_intercepted = (s, v) in intercepted
         if is_covered and is_intercepted:
@@ -140,10 +135,10 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
         elif is_intercepted and _cannot_preempt(fb, l, s):
             rejected.add((l, s, v))
     return FeasibilityResult(
-        no_preempt=no_preempt(fb),
         covered_load=covered,
         intercepted_store=intercepted,
         must_not_read_from=frozenset(rejected),
+        pairs_total=len(pairs),
     )
 
 
@@ -155,7 +150,7 @@ def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
     lines += [f"Pri({n}, {p})" for n, p in fb.pri.items()]
     lines += [f"Load({n}, {v})" for n, v in fb.load]
     lines += [f"Store({n}, {v})" for n, v in fb.store]
-    lines += [f"NoPreempt({a}, {b})" for a, b in result.no_preempt]
+    lines += [f"NoPreempt({a}, {b})" for a, b in no_preempt(fb)]
     lines += [f"CoveredLoad({n}, {v})" for n, v in result.covered_load]
     lines += [f"InterceptedStore({n}, {v})" for n, v in result.intercepted_store]
     lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in result.must_not_read_from]

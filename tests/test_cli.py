@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from irqverify.cli import main
 
 from conftest import corpus_path
@@ -76,6 +78,25 @@ def test_analyze_bad_config_exit_two(capsys):
                            str(corpus_path("three_priorities")))
     assert code == 2
     assert "error" in err
+
+
+DEEP_INPUTS = {
+    "long_sum": "global x = 0; handler h priority 0 { x = " + " + ".join(["1"] * 5000) + "; }\n",
+    "nested_parens": "global x = 0; handler h priority 0 { x = " + "(" * 3000 + "1"
+                     + ")" * 3000 + "; }\n",
+    "nested_ifs": "global x = 0; handler h priority 0 { " + "if (*) { " * 1200 + "x = 1; "
+                  + "} " * 1200 + "}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_input_nested_too_deeply_exit_two(capsys, tmp_path, name):
+    src = tmp_path / f"{name}.irq"
+    src.write_text(DEEP_INPUTS[name])
+    code, _, err = run_cli(capsys, "analyze", str(src))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_analyze_dump_flags(capsys):

@@ -1,0 +1,57 @@
+"""CLI output pinned byte for byte against the pre-refactor implementation.
+
+Each digest is the sha256 over (input name, exit code, stdout) of one
+subcommand run on the 8 corpus programs and on the progen programs of seeds
+0-49. The constants were recorded before the feasibility relations became
+lazy; a refactor of the analysis must leave all of them unchanged.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+
+import pytest
+
+from irqverify.cli import main
+from irqverify.ir import format_program
+
+from conftest import CORPUS_NAMES, corpus_path
+from progen import random_program
+
+PINNED = {
+    ("facts",):
+        "0794671bd3e07e756184910da3132c1c029b4bf926f9bdd29c7fa104c35f1fb8",
+    ("analyze",):
+        "8e3a83879c2cb0457b8d459465aef017b254f2c462e2f574ad1d95ec00e93752",
+    ("analyze", "--json"):
+        "e950120789ae67f95876e999affa518d44903c3499d16e3a509485fd37c3cd47",
+    ("analyze", "--no-pruning", "--json"):
+        "ab4515a4a0aab524a48ba1d18551e4b499898da57f1a9257413edbbe47789855",
+    ("compare", "--json"):
+        "95ac6bb7355f98802ef628ad58ae00d792942086a66aa4a94e90aa6da9687cdb",
+}
+
+
+def _inputs(tmp_dir):
+    for name in CORPUS_NAMES:
+        yield name, corpus_path(name)
+    for seed in range(50):
+        path = tmp_dir / f"progen_{seed}.irq"
+        path.write_text(format_program(random_program(random.Random(seed))))
+        yield f"progen_{seed}", path
+
+
+def command_digest(argv: tuple[str, ...], tmp_dir) -> str:
+    h = hashlib.sha256()
+    for name, path in _inputs(tmp_dir):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*argv, str(path)])
+        h.update(f"{name}\0{code}\0{out.getvalue()}\0".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+def test_cli_output_matches_pinned_digest(argv, tmp_path):
+    assert command_digest(argv, tmp_path) == PINNED[argv]

@@ -11,10 +11,11 @@ from irqverify import (
     parse_program,
 )
 from irqverify.cfg import build_all
+from irqverify.cli import main
 from irqverify.feasibility import cross_pairs, dump_facts
 from irqverify.ir import Assert, Assign, Handler
 
-from conftest import load_corpus
+from conftest import corpus_path, load_corpus
 from progen import random_program
 
 
@@ -51,7 +52,7 @@ def test_priorities_attach_to_every_node_of_a_handler():
     fb, cfgs = facts_of(load_corpus("three_priorities"))
     want = {"irq_H": 2, "irq_L": 0, "irq_M": 1}
     for node, pri in fb.pri.items():
-        assert pri == want[fb.handler_of[node]]
+        assert pri == want[node.handler]
     for g in cfgs:
         assert {fb.pri[n] for n in g.nodes} == {want[g.handler]}
 
@@ -59,7 +60,7 @@ def test_priorities_attach_to_every_node_of_a_handler():
 def test_dominance_facts_never_cross_handlers():
     fb, _ = facts_of(load_corpus("three_priorities"))
     for a, b in fb.dom | fb.postdom:
-        assert fb.handler_of[a] == fb.handler_of[b]
+        assert a.handler == b.handler
 
 
 def test_load_store_facts_loop_program():
@@ -80,7 +81,7 @@ def test_load_store_facts_loop_program():
 
 def test_no_preempt_orientation():
     fb, cfgs = facts_of(load_corpus("three_priorities"))
-    by_handler = {h: [n for n in fb.pri if fb.handler_of[n] == h] for h in ("irq_H", "irq_L", "irq_M")}
+    by_handler = {h: [n for n in fb.pri if n.handler == h] for h in ("irq_H", "irq_L", "irq_M")}
     np = no_preempt(fb)
     # the low handler can never preempt the medium one...
     for a in by_handler["irq_L"]:
@@ -109,7 +110,7 @@ def test_no_preempt_equal_priorities_is_symmetric_and_total():
     nodes = sorted(fb.pri)
     for a in nodes:
         for b in nodes:
-            if fb.handler_of[a] != fb.handler_of[b]:
+            if a.handler != b.handler:
                 assert (a, b) in np and (b, a) in np
 
 
@@ -236,7 +237,7 @@ def test_rejections_are_cross_handler_same_variable():
         fb, _ = facts_of(p)
         result = must_not_read_from(fb)
         for (l, s, v) in result.must_not_read_from:
-            assert fb.handler_of[l] != fb.handler_of[s]
+            assert l.handler != s.handler
             assert (l, v) in fb.load and (s, v) in fb.store
         assert result.must_not_read_from <= cross_pairs(fb)
 
@@ -255,7 +256,7 @@ def test_every_rejection_is_justified_by_a_rule():
         result = must_not_read_from(fb)
         covered = result.covered_load
         intercepted = result.intercepted_store
-        np = result.no_preempt
+        np = no_preempt(fb)
         for (l, s, v) in result.must_not_read_from:
             r1 = (l, v) in covered and (s, v) in intercepted
             r2 = (l, v) in covered and (s, l) in np
@@ -270,3 +271,39 @@ def test_dump_facts_is_sorted_and_complete():
     assert lines == sorted(lines)
     assert any(line.startswith("MustNotReadFrom(") for line in lines)
     assert any(line.startswith("Pri(") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Lazy relations
+# ---------------------------------------------------------------------------
+
+
+def test_facts_runs_no_fixpoint(monkeypatch, capsys):
+    def no_fixpoint(*args, **kwargs):
+        raise AssertionError("facts must not run the fixpoint")
+
+    monkeypatch.setattr("irqverify.analyzer.analyze_local", no_fixpoint)
+    assert main(["facts", str(corpus_path("three_priorities"))]) == 0
+    assert "MustNotReadFrom(" in capsys.readouterr().out
+
+
+def test_pairs_total_counts_cross_pairs():
+    for seed in range(50):
+        fb, _ = facts_of(random_program(random.Random(seed)))
+        assert must_not_read_from(fb).pairs_total == len(cross_pairs(fb)), f"seed {seed}"
+
+
+def test_no_preempt_matches_brute_force_over_handlers():
+    for seed in range(50):
+        p = random_program(random.Random(seed))
+        fb, cfgs = facts_of(p)
+        priority = {h.name: h.priority for h in p.handlers}
+        want = {
+            (a, b)
+            for g1 in cfgs
+            for g2 in cfgs
+            if g1.handler != g2.handler and priority[g2.handler] >= priority[g1.handler]
+            for a in g1.nodes
+            for b in g2.nodes
+        }
+        assert no_preempt(fb) == want, f"seed {seed}"
