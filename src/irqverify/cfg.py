@@ -10,6 +10,7 @@ entry, the single exit, and branch join points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, NamedTuple
 
 from .ir import (
@@ -131,8 +132,11 @@ def build_cfg(handler: Handler) -> Cfg:
     b.connect(tails, exit_)
 
     nodes = tuple(sorted(b.instr, key=lambda n: n.index))
-    succs = {n: tuple(sorted((t for s, t in b.edges if s == n), key=lambda n: n.index)) for n in nodes}
-    preds = {n: tuple(sorted((s for s, t in b.edges if t == n), key=lambda n: n.index)) for n in nodes}
+    succs: dict[NodeId, tuple[NodeId, ...]] = {n: () for n in nodes}
+    preds: dict[NodeId, tuple[NodeId, ...]] = {n: () for n in nodes}
+    for s, t in sorted(b.edges):
+        succs[s] += (t,)
+        preds[t] += (s,)
     return Cfg(
         handler=handler.name,
         entry=entry,
@@ -148,37 +152,39 @@ def build_cfg(handler: Handler) -> Cfg:
     )
 
 
-def _dominance_sets(nodes: tuple[NodeId, ...], root: NodeId,
-                    edges_into: dict[NodeId, tuple[NodeId, ...]]) -> dict[NodeId, set[NodeId]]:
-    """Iterative dataflow: dom(n) = {n} plus the intersection of dom(preds)."""
-    every = set(nodes)
-    dom: dict[NodeId, set[NodeId]] = {n: ({n} if n == root else set(every)) for n in nodes}
+def _dominance(order: tuple[NodeId, ...], root: NodeId,
+               edges_into: dict[NodeId, tuple[NodeId, ...]]) -> dict[NodeId, int]:
+    """Iterative dataflow dom(n) = {n} | AND of dom(preds); bit i is the node of index i."""
+    every = (1 << len(order)) - 1
+    dom = {n: (1 << n.index if n == root else every) for n in order}
     changed = True
     while changed:
         changed = False
-        for n in nodes:
+        for n in order:
             if n == root:
                 continue
             incoming = [dom[p] for p in edges_into[n]]
-            new = {n} | (set.intersection(*incoming) if incoming else set())
+            new = 1 << n.index | (reduce(int.__and__, incoming) if incoming else 0)
             if new != dom[n]:
                 dom[n] = new
                 changed = True
     return dom
 
 
-def _as_relation(sets: dict[NodeId, set[NodeId]]) -> frozenset[tuple[NodeId, NodeId]]:
-    return frozenset((a, b) for b, doms in sets.items() for a in doms)
+def dominance_pairs(masks: dict[NodeId, int]) -> frozenset[tuple[NodeId, NodeId]]:
+    """Expand per-node masks into the pairs (a, b) where a is in b's mask."""
+    return frozenset((NodeId(b.handler, i), b) for b, mask in masks.items()
+                     for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def dominators(g: Cfg) -> frozenset[tuple[NodeId, NodeId]]:
-    """Pairs (a, b) where every entry-to-b path passes through a; reflexive."""
-    return _as_relation(_dominance_sets(g.nodes, g.entry, g.preds))
+def dominators(g: Cfg) -> dict[NodeId, int]:
+    """Per node b, the mask of every a on all entry-to-b paths; reflexive."""
+    return _dominance(g.nodes, g.entry, g.preds)
 
 
-def post_dominators(g: Cfg) -> frozenset[tuple[NodeId, NodeId]]:
+def post_dominators(g: Cfg) -> dict[NodeId, int]:
     """Dual of `dominators` over reversed edges, rooted at the synthetic exit."""
-    return _as_relation(_dominance_sets(g.nodes, g.exit, g.succs))
+    return _dominance(g.nodes[::-1], g.exit, g.succs)
 
 
 def node_global_reads(ins: Instr) -> tuple[str, ...]:
@@ -231,8 +237,8 @@ def dump_cfg(g: Cfg) -> list[str]:
     for s, t in sorted(g.edges):
         kind = "back" if (s, t) in g.back_edges else "edge"
         lines.append(f"{kind} {s} -> {t}")
-    for a, b in sorted(dominators(g)):
+    for a, b in sorted(dominance_pairs(dominators(g))):
         lines.append(f"dom {a} {b}")
-    for a, b in sorted(post_dominators(g)):
+    for a, b in sorted(dominance_pairs(post_dominators(g))):
         lines.append(f"postdom {a} {b}")
     return lines

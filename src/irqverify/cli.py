@@ -9,8 +9,9 @@ Subcommands:
   oracle; a proved assertion the oracle can violate is a fatal error.
 
 Exit codes: 0 all assertions proved (or none), 1 at least one warning,
-2 input error (including input nested too deeply to process), 3 soundness
-discrepancy in ``compare``.
+2 input error (including input nested too deeply to process) or ``oracle``
+exceeding its state ceiling, 3 soundness discrepancy in ``compare``, 4
+internal error (traceback, then ``error: internal error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .analyzer import AnalysisConfig, AnalysisReport, analyze, prepare
 from .cfg import dump_cfg
@@ -207,18 +209,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, OSError, ValueError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

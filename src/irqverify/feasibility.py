@@ -17,6 +17,9 @@ The rules combine two derived relations with one predicate:
   The rules evaluate it per pair; only ``dump_facts`` expands it into the
   node-pair relation, through ``no_preempt``.
 
+Dominance and post-dominance are one bitmask per node; the two overwrite
+rules test masks, and only ``dump_facts`` expands them, via ``dominance_pairs``.
+
 A cross-handler pair (load l, store s) of the same variable is rejected when
 (1) l is covered and s is intercepted, (2) l is covered and s's handler cannot
 preempt l's, or (3) s is intercepted and l's handler cannot preempt s's. All
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
+from .cfg import AccessInfo, Cfg, NodeId, dominance_pairs, dominators, post_dominators
 from .ir import Program
 
 
@@ -36,8 +39,8 @@ from .ir import Program
 class FactBase:
     """Ground facts extracted from one program's handlers."""
 
-    dom: frozenset[tuple[NodeId, NodeId]]
-    postdom: frozenset[tuple[NodeId, NodeId]]
+    dom: dict[NodeId, int]
+    postdom: dict[NodeId, int]
     pri: dict[NodeId, int]
     load: frozenset[tuple[NodeId, str]]
     store: frozenset[tuple[NodeId, str]]
@@ -53,21 +56,21 @@ class FeasibilityResult:
 
 def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) -> FactBase:
     """Union of per-handler facts; dominance never crosses handler boundaries."""
-    dom: set[tuple[NodeId, NodeId]] = set()
-    postdom: set[tuple[NodeId, NodeId]] = set()
+    dom: dict[NodeId, int] = {}
+    postdom: dict[NodeId, int] = {}
     pri: dict[NodeId, int] = {}
     load: set[tuple[NodeId, str]] = set()
     store: set[tuple[NodeId, str]] = set()
     priorities = {h.name: h.priority for h in program.handlers}
     for g, info in zip(cfgs, infos):
-        dom |= dominators(g)
-        postdom |= post_dominators(g)
+        dom.update(dominators(g))
+        postdom.update(post_dominators(g))
         p = priorities[g.handler]
         for n in g.nodes:
             pri[n] = p
         load |= info.loads
         store |= info.stores
-    return FactBase(dom=frozenset(dom), postdom=frozenset(postdom), pri=pri,
+    return FactBase(dom=dom, postdom=postdom, pri=pri,
                     load=frozenset(load), store=frozenset(store))
 
 
@@ -81,28 +84,27 @@ def no_preempt(fb: FactBase) -> frozenset[tuple[NodeId, NodeId]]:
     return frozenset((s1, s2) for s1 in fb.pri for s2 in fb.pri if _cannot_preempt(fb, s1, s2))
 
 
-def covered_loads(fb: FactBase) -> frozenset[tuple[NodeId, str]]:
-    """Loads dominated by a same-handler store of the same variable.
+def _overwritten(fb: FactBase, sites: frozenset, masks: dict[NodeId, int]) -> frozenset:
+    """Sites (n, v) whose mask holds a same-handler store of v other than n.
 
     A node is never covered by its own store: a compound read-write like
     `x = x + 1` does not cover its own load.
     """
-    return frozenset(
-        (l, v)
-        for (l, v) in fb.load
-        for (s, w) in fb.store
-        if w == v and s != l and s.handler == l.handler and (s, l) in fb.dom
-    )
+    stores: dict[tuple[str, str], int] = {}
+    for s, v in fb.store:
+        stores[s.handler, v] = stores.get((s.handler, v), 0) | 1 << s.index
+    return frozenset((n, v) for n, v in sites
+                     if masks[n] & stores.get((n.handler, v), 0) & ~(1 << n.index))
+
+
+def covered_loads(fb: FactBase) -> frozenset[tuple[NodeId, str]]:
+    """Loads dominated by a same-handler store of the same variable."""
+    return _overwritten(fb, fb.load, fb.dom)
 
 
 def intercepted_stores(fb: FactBase) -> frozenset[tuple[NodeId, str]]:
     """Stores post-dominated by a same-handler store of the same variable."""
-    return frozenset(
-        (s1, v)
-        for (s1, v) in fb.store
-        for (s2, w) in fb.store
-        if w == v and s2 != s1 and s2.handler == s1.handler and (s2, s1) in fb.postdom
-    )
+    return _overwritten(fb, fb.store, fb.postdom)
 
 
 def cross_pairs(fb: FactBase) -> frozenset[tuple[NodeId, NodeId, str]]:
@@ -145,8 +147,8 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
 def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
     """One `REL(arg, ...)` tuple per line, sorted lexicographically."""
     lines: list[str] = []
-    lines += [f"Dom({a}, {b})" for a, b in fb.dom]
-    lines += [f"PostDom({a}, {b})" for a, b in fb.postdom]
+    lines += [f"Dom({a}, {b})" for a, b in dominance_pairs(fb.dom)]
+    lines += [f"PostDom({a}, {b})" for a, b in dominance_pairs(fb.postdom)]
     lines += [f"Pri({n}, {p})" for n, p in fb.pri.items()]
     lines += [f"Load({n}, {v})" for n, v in fb.load]
     lines += [f"Store({n}, {v})" for n, v in fb.store]

@@ -1,6 +1,7 @@
 import random
 
 from irqverify import access_info, build_cfg, dominators, parse_program, post_dominators
+from irqverify.cfg import dominance_pairs
 from irqverify.cfg import dump_cfg
 from irqverify.ir import Assert, Assign, Skip
 
@@ -100,7 +101,7 @@ def test_every_node_reachable_from_entry_on_corpus():
 def test_straight_line_dominance_is_prefix_order():
     p = parse_program("global x = 0; handler h priority 0 { x = 1; x = 2; x = 3; }")
     g = build_cfg(p.handlers[0])
-    dom = dominators(g)
+    dom = dominance_pairs(dominators(g))
     order = g.nodes
     for i, a in enumerate(order):
         for j, b in enumerate(order):
@@ -110,7 +111,7 @@ def test_straight_line_dominance_is_prefix_order():
 def test_branch_store_does_not_dominate_join_successor():
     p = load_corpus("branch_overwrites")
     g = handler_cfg(p, "irq_M")
-    dom = dominators(g)
+    dom = dominance_pairs(dominators(g))
     assert (assign_node(g, "y", 1), assert_node(g)) in dom
     assert (assign_node(g, "y", 0), assert_node(g)) not in dom
 
@@ -118,12 +119,12 @@ def test_branch_store_does_not_dominate_join_successor():
 def test_postdominance_of_unconditional_stores():
     p = load_corpus("branch_overwrites")
     g = handler_cfg(p, "irq_H")
-    postdom = post_dominators(g)
+    postdom = dominance_pairs(post_dominators(g))
     assert (assign_node(g, "x", 1), assign_node(g, "x", 0)) in postdom
 
     q = load_corpus("loop_store_overwrite")
     gq = handler_cfg(q, "irq1")
-    pq = post_dominators(gq)
+    pq = dominance_pairs(post_dominators(gq))
     assert (assign_node(gq, "x", 0), assign_node(gq, "x", 1)) in pq
     # the loop may exit before re-entering the body: x=1 does not post-dominate x=0
     assert (assign_node(gq, "x", 1), assign_node(gq, "x", 0)) not in pq
@@ -134,7 +135,7 @@ def test_exit_postdominates_everything_on_corpus():
         p = load_corpus(name)
         for h in p.handlers:
             g = build_cfg(h)
-            postdom = post_dominators(g)
+            postdom = dominance_pairs(post_dominators(g))
             for n in g.nodes:
                 assert (g.exit, n) in postdom
 
@@ -193,8 +194,8 @@ def _small_random_cfgs(limit_nodes=12, count=150):
 
 def test_dominance_matches_path_enumeration_on_small_cfgs():
     for g in _small_random_cfgs():
-        assert dominators(g) == brute_dominators(g)
-        assert post_dominators(g) == brute_post_dominators(g)
+        assert dominance_pairs(dominators(g)) == brute_dominators(g)
+        assert dominance_pairs(post_dominators(g)) == brute_post_dominators(g)
 
 
 def test_dominance_is_a_partial_order_with_tree_property():
@@ -202,7 +203,7 @@ def test_dominance_is_a_partial_order_with_tree_property():
         p = load_corpus(name)
         for h in p.handlers:
             g = build_cfg(h)
-            for rel in (dominators(g), post_dominators(g)):
+            for rel in (dominance_pairs(dominators(g)), dominance_pairs(post_dominators(g))):
                 nodes = g.nodes
                 for a in nodes:
                     assert (a, a) in rel
@@ -213,7 +214,7 @@ def test_dominance_is_a_partial_order_with_tree_property():
                     for (c, d) in rel:
                         if d == a:
                             assert (c, b) in rel
-            dom = dominators(g)
+            dom = dominance_pairs(dominators(g))
             for n in nodes:
                 doms = sorted(a for (a, b) in dom if b == n)
                 # dominators of any node are totally ordered among themselves

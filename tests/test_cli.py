@@ -165,6 +165,33 @@ def test_compare_oracle_ceiling_marks_skipped(capsys, tmp_path, monkeypatch):
     assert all(row["oracle"] == "skipped" for row in payload["rows"])
 
 
+def test_oracle_ceiling_exit_two(capsys, monkeypatch):
+    import irqverify.cli as cli_mod
+    from irqverify import OracleLimitError
+
+    def boom(program, config):
+        raise OracleLimitError("exceeded 3000000 explored scheduler states")
+
+    monkeypatch.setattr(cli_mod, "enumerate_executions", boom)
+    code, _, err = run_cli(capsys, "oracle", str(corpus_path("three_priorities")))
+    assert code == 2
+    assert err.startswith("error:") and "scheduler states" in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exit_four(capsys, monkeypatch):
+    import irqverify.cli as cli_mod
+
+    def boom(program, config):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli_mod, "analyze", boom)
+    code, _, err = run_cli(capsys, "analyze", str(corpus_path("three_priorities")))
+    assert code == 4
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: internal error: KeyError('missing')"
+
+
 def test_entry_point_via_module():
     proc = subprocess.run(
         [sys.executable, "-m", "irqverify", "analyze", "--json", str(corpus_path("three_priorities"))],

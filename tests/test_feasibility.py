@@ -10,7 +10,7 @@ from irqverify import (
     no_preempt,
     parse_program,
 )
-from irqverify.cfg import build_all
+from irqverify.cfg import build_all, dominance_pairs
 from irqverify.cli import main
 from irqverify.feasibility import cross_pairs, dump_facts
 from irqverify.ir import Assert, Assign, Handler
@@ -59,7 +59,7 @@ def test_priorities_attach_to_every_node_of_a_handler():
 
 def test_dominance_facts_never_cross_handlers():
     fb, _ = facts_of(load_corpus("three_priorities"))
-    for a, b in fb.dom | fb.postdom:
+    for a, b in dominance_pairs(fb.dom) | dominance_pairs(fb.postdom):
         assert a.handler == b.handler
 
 
