@@ -28,6 +28,7 @@ from .feasibility import (
     intercepted_stores,
     must_not_read_from,
     no_preempt,
+    rejected_pairs,
 )
 from .ir import Diagnostic, Handler, Program, format_program, validate
 from .oracle import (
@@ -84,6 +85,7 @@ __all__ = [
     "parse_file",
     "parse_program",
     "post_dominators",
+    "rejected_pairs",
     "thread_enumerate",
     "transfer",
     "validate",

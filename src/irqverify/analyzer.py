@@ -37,7 +37,7 @@ from .domain import (
     transfer,
     widen,
 )
-from .feasibility import FactBase, FeasibilityResult, extract_facts, must_not_read_from
+from .feasibility import FactBase, FeasibilityResult, extract_facts, must_not_read_from, rejects
 from .ir import Assert, Program
 
 #: Per-variable interference: ordered (store node, written value) pairs.
@@ -109,24 +109,47 @@ class AnalysisResult:
     cfgs: list[Cfg] = field(default_factory=list)
 
 
+def _admitted(g: Cfg, interference: InterferenceMap,
+              feasibility: FeasibilityResult | None) -> dict[NodeId, tuple[tuple[str, Interval], ...]]:
+    """Per node of g, each global it reads with the join of the values it admits.
+
+    The rules see a load only through its class (handler, covered), and the
+    interference is fixed for one `analyze_local` call, so the admitted hull
+    is computed once per (variable, covered flag). Interval join is an exact,
+    commutative hull, so entry order does not matter. Variables with no
+    admitted store are left out.
+    """
+    hulls: dict[tuple[str, bool], Interval | None] = {}
+    out: dict[NodeId, tuple[tuple[str, Interval], ...]] = {}
+    for n in g.nodes:
+        joins = []
+        for name in node_global_reads(g.instr[n]):
+            covered = feasibility is not None and (n, name) in feasibility.covered_load
+            if (name, covered) not in hulls:
+                incoming = None
+                for store_node, value in interference.get(name, ()):
+                    if feasibility is not None and rejects(
+                            feasibility.priority, g.handler, covered, store_node.handler,
+                            (store_node, name) in feasibility.intercepted_store):
+                        continue
+                    incoming = value if incoming is None else incoming.join(value)
+                hulls[name, covered] = incoming
+            if hulls[name, covered] is not None:
+                joins.append((name, hulls[name, covered]))
+        if joins:
+            out[n] = tuple(joins)
+    return out
+
+
 def _node_output(g: Cfg, n: NodeId, pre: AbstractState,
-                 interference: InterferenceMap,
-                 rejected: frozenset[tuple[NodeId, NodeId, str]] | None) -> AbstractState:
-    """Apply node n to its incoming state, joining interference at its reads."""
+                 admitted: dict[NodeId, tuple[tuple[str, Interval], ...]]) -> AbstractState:
+    """Apply node n to its incoming state, joining admitted interference at its reads."""
     if pre.is_bottom:
         return pre
-    ins = g.instr[n]
     s = pre
-    for name in node_global_reads(ins):
-        entries = interference.get(name, ())
-        incoming = None
-        for store_node, value in entries:
-            if rejected is not None and (n, store_node, name) in rejected:
-                continue
-            incoming = value if incoming is None else incoming.join(value)
-        if incoming is not None:
-            s = s.set(name, s.get(name).join(incoming))
-    return transfer(ins, s)
+    for name, incoming in admitted.get(n, ()):
+        s = s.set(name, s.get(name).join(incoming))
+    return transfer(g.instr[n], s)
 
 
 def analyze_local(g: Cfg, interference: InterferenceMap,
@@ -141,7 +164,7 @@ def analyze_local(g: Cfg, interference: InterferenceMap,
     bounds the widening overshot. Deterministic: FIFO worklist seeded with the
     entry, successors in node order.
     """
-    rejected = feasibility.must_not_read_from if feasibility is not None else None
+    admitted = _admitted(g, interference, feasibility)
     entry = entry_state if entry_state is not None else AbstractState.top()
     post: NodeStates = {n: AbstractState.bottom() for n in g.nodes}
     growths: dict[NodeId, int] = {}
@@ -157,7 +180,7 @@ def analyze_local(g: Cfg, interference: InterferenceMap,
             pre = AbstractState.bottom()
             for p in g.preds[n]:
                 pre = join(pre, post[p])
-        out = _node_output(g, n, pre, interference, rejected)
+        out = _node_output(g, n, pre, admitted)
         if n in g.loop_heads:
             growths[n] = growths.get(n, 0)
             if not leq(out, post[n]):
@@ -184,7 +207,7 @@ def analyze_local(g: Cfg, interference: InterferenceMap,
             pre = AbstractState.bottom()
             for p in g.preds[n]:
                 pre = join(pre, post[p])
-        post[n] = _node_output(g, n, pre, interference, rejected)
+        post[n] = _node_output(g, n, pre, admitted)
     return post
 
 
@@ -215,16 +238,21 @@ def _merge_interferences(maps: list[InterferenceMap]) -> InterferenceMap:
 
 
 def prepare(program: Program) -> tuple[list[Cfg], FactBase, FeasibilityResult]:
-    """Graphs, facts and rejected pairs: everything before the fixpoint."""
+    """Graphs, facts and feasibility classes: everything before the fixpoint."""
     cfgs, infos = build_all(program)
     facts = extract_facts(program, cfgs, infos)
     return cfgs, facts, must_not_read_from(facts)
 
 
-def analyze(program: Program, config: AnalysisConfig | None = None) -> AnalysisResult:
-    """Run the full modular analysis and keep the internals around."""
+def analyze(program: Program, config: AnalysisConfig | None = None,
+            prepared: tuple[list[Cfg], FactBase, FeasibilityResult] | None = None) -> AnalysisResult:
+    """Run the full modular analysis and keep the internals around.
+
+    `prepared` is `prepare(program)`'s result, for callers that analyze one
+    program more than once; it is computed here when omitted.
+    """
     config = config or AnalysisConfig()
-    cfgs, facts, feas = prepare(program)
+    cfgs, facts, feas = prepared if prepared is not None else prepare(program)
     feas_active = feas if config.pruning else None
 
     global_names = program.global_names()
@@ -275,7 +303,7 @@ def analyze(program: Program, config: AnalysisConfig | None = None) -> AnalysisR
         iterations=iterations,
         interference_sizes=interference_sizes,
         pairs_total=feas.pairs_total,
-        pairs_pruned=len(feas.must_not_read_from),
+        pairs_pruned=feas.pairs_pruned,
         pruning_enabled=config.pruning,
     )
     return AnalysisResult(report=report, node_states=states, facts=facts,

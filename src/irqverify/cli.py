@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import replace
 
 from .analyzer import AnalysisConfig, AnalysisReport, analyze, prepare
 from .cfg import dump_cfg
@@ -100,10 +101,10 @@ def cmd_facts(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     program = _load(args.path)
-    pruned = analyze(program, AnalysisConfig(pruning=True, widen_delay=args.widen_delay,
-                                             max_outer=args.max_iters))
-    plain = analyze(program, AnalysisConfig(pruning=False, widen_delay=args.widen_delay,
-                                            max_outer=args.max_iters))
+    config = AnalysisConfig(widen_delay=args.widen_delay, max_outer=args.max_iters)
+    prepared = prepare(program)
+    pruned = analyze(program, config, prepared)
+    plain = analyze(program, replace(config, pruning=False), prepared)
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
                                  track_flows=False)
     try:

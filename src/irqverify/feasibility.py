@@ -14,21 +14,27 @@ The rules combine two derived relations with one predicate:
   path, so s's value is overwritten before the handler returns.
 * ``NoPreempt(s1, s2)``: s1's handler can never interleave into s2's,
   because s2's priority is at least s1's (equal priorities never preempt).
-  The rules evaluate it per pair; only ``dump_facts`` expands it into the
-  node-pair relation, through ``no_preempt``.
+  The rules evaluate it per pair of handlers; only ``dump_facts`` expands it
+  into the node-pair relation, through ``no_preempt``.
 
 Dominance and post-dominance are one bitmask per node; the two overwrite
 rules test masks, and only ``dump_facts`` expands them, via ``dominance_pairs``.
 
 A cross-handler pair (load l, store s) of the same variable is rejected when
 (1) l is covered and s is intercepted, (2) l is covered and s's handler cannot
-preempt l's, or (3) s is intercepted and l's handler cannot preempt s's. All
-rules are non-recursive, so one pass over the cross-handler pairs evaluates
-them; no fixpoint or external solver is involved.
+preempt l's, or (3) s is intercepted and l's handler cannot preempt s's. The
+rules see a load only through its class (handler, covered) and a store only
+through its class (handler, intercepted), so ``rejects`` decides whole
+classes at once: ``must_not_read_from`` counts the pairs per (variable, load
+class, store class) instead of enumerating them, and the analysis joins the
+interference admitted by each class once. Only ``rejected_pairs`` expands the
+relation into (load, store, variable) triples, for the facts dump. All rules
+are non-recursive; no fixpoint or external solver is involved.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cfg import AccessInfo, Cfg, NodeId, dominance_pairs, dominators, post_dominators
@@ -50,8 +56,9 @@ class FactBase:
 class FeasibilityResult:
     covered_load: frozenset[tuple[NodeId, str]]
     intercepted_store: frozenset[tuple[NodeId, str]]
-    must_not_read_from: frozenset[tuple[NodeId, NodeId, str]]
+    priority: dict[str, int]  # handler name -> priority
     pairs_total: int
+    pairs_pruned: int
 
 
 def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) -> FactBase:
@@ -74,14 +81,21 @@ def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) ->
                     load=frozenset(load), store=frozenset(store))
 
 
-def _cannot_preempt(fb: FactBase, s1: NodeId, s2: NodeId) -> bool:
-    """NoPreempt(s1, s2): cross-handler and pri(s2) >= pri(s1)."""
-    return s1.handler != s2.handler and fb.pri[s2] >= fb.pri[s1]
+def _cannot_preempt(priority: dict[str, int], h1: str, h2: str) -> bool:
+    """NoPreempt between handlers: h1 != h2 and pri(h2) >= pri(h1)."""
+    return h1 != h2 and priority[h2] >= priority[h1]
+
+
+def _priorities(fb: FactBase) -> dict[str, int]:
+    """Handler name to priority, read off the per-node Pri facts."""
+    return {n.handler: p for n, p in fb.pri.items()}
 
 
 def no_preempt(fb: FactBase) -> frozenset[tuple[NodeId, NodeId]]:
     """The NoPreempt relation expanded over all node pairs, for the facts dump."""
-    return frozenset((s1, s2) for s1 in fb.pri for s2 in fb.pri if _cannot_preempt(fb, s1, s2))
+    priority = _priorities(fb)
+    return frozenset((s1, s2) for s1 in fb.pri for s2 in fb.pri
+                     if _cannot_preempt(priority, s1.handler, s2.handler))
 
 
 def _overwritten(fb: FactBase, sites: frozenset, masks: dict[NodeId, int]) -> frozenset:
@@ -117,30 +131,56 @@ def cross_pairs(fb: FactBase) -> frozenset[tuple[NodeId, NodeId, str]]:
     )
 
 
-def must_not_read_from(fb: FactBase) -> FeasibilityResult:
-    """Evaluate the three rejection rules over all cross-handler pairs.
+def rejects(priority: dict[str, int], load_handler: str, covered: bool,
+            store_handler: str, intercepted: bool) -> bool:
+    """Whether MustNotReadFrom holds for the pairs of one (load class, store class).
 
-    Exactly these rules and nothing more; each member is justified by at
-    least one of them.
+    The rules read nothing else, so the answer is the same for every pair of
+    the two classes. This is the one place the three rules are written down.
+    """
+    if load_handler == store_handler:
+        return False
+    return (covered and intercepted
+            or covered and _cannot_preempt(priority, store_handler, load_handler)
+            or intercepted and _cannot_preempt(priority, load_handler, store_handler))
+
+
+def must_not_read_from(fb: FactBase) -> FeasibilityResult:
+    """Evaluate the rejection rules once per (variable, load class, store class).
+
+    A class holds n_loads x n_stores pairs, all rejected or all admitted, so
+    the pair counts are sums of products; no pair is enumerated.
     """
     covered = covered_loads(fb)
     intercepted = intercepted_stores(fb)
-    pairs = cross_pairs(fb)
-    rejected: set[tuple[NodeId, NodeId, str]] = set()
-    for (l, s, v) in pairs:
-        is_covered = (l, v) in covered
-        is_intercepted = (s, v) in intercepted
-        if is_covered and is_intercepted:
-            rejected.add((l, s, v))
-        elif is_covered and _cannot_preempt(fb, s, l):
-            rejected.add((l, s, v))
-        elif is_intercepted and _cannot_preempt(fb, l, s):
-            rejected.add((l, s, v))
+    priority = _priorities(fb)
+    load_classes = Counter((v, l.handler, (l, v) in covered) for l, v in fb.load)
+    store_classes: dict[str, Counter] = {}
+    for s, v in fb.store:
+        store_classes.setdefault(v, Counter())[s.handler, (s, v) in intercepted] += 1
+    total = pruned = 0
+    for (v, lh, is_covered), n_loads in load_classes.items():
+        for (sh, is_intercepted), n_stores in store_classes.get(v, {}).items():
+            if lh == sh:
+                continue
+            total += n_loads * n_stores
+            if rejects(priority, lh, is_covered, sh, is_intercepted):
+                pruned += n_loads * n_stores
     return FeasibilityResult(
         covered_load=covered,
         intercepted_store=intercepted,
-        must_not_read_from=frozenset(rejected),
-        pairs_total=len(pairs),
+        priority=priority,
+        pairs_total=total,
+        pairs_pruned=pruned,
+    )
+
+
+def rejected_pairs(fb: FactBase, result: FeasibilityResult) -> frozenset[tuple[NodeId, NodeId, str]]:
+    """The MustNotReadFrom relation expanded over the cross pairs, for the facts dump."""
+    return frozenset(
+        (l, s, v) for l, s, v in cross_pairs(fb)
+        if rejects(result.priority, l.handler, (l, v) in result.covered_load,
+                   s.handler, (s, v) in result.intercepted_store)
     )
 
 
@@ -155,5 +195,5 @@ def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
     lines += [f"NoPreempt({a}, {b})" for a, b in no_preempt(fb)]
     lines += [f"CoveredLoad({n}, {v})" for n, v in result.covered_load]
     lines += [f"InterceptedStore({n}, {v})" for n, v in result.intercepted_store]
-    lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in result.must_not_read_from]
+    lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in rejected_pairs(fb, result)]
     return sorted(lines)

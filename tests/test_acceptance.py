@@ -25,6 +25,7 @@ from irqverify import (
     leq,
     parse_program,
     post_dominators,
+    rejected_pairs,
 )
 from irqverify.cfg import dominance_pairs
 from irqverify.domain import join as state_join, widen as state_widen
@@ -95,7 +96,7 @@ def test_golden_loop_case():
     assert {v.assertion_id: v.verdict for v in result.report.verdicts} == {"irq0#0": "Proved"}
     assert without == {"irq0#0": "Warning"}
     load_x, store_one = NodeId("irq0", 1), NodeId("irq1", 4)
-    assert (load_x, store_one, "x") in result.feasibility.must_not_read_from
+    assert (load_x, store_one, "x") in rejected_pairs(result.facts, result.feasibility)
     # justified by interception: the x=0 store post-dominates the x=1 store
     assert (store_one, "x") in result.feasibility.intercepted_store
     assert elapsed < 1.0
@@ -122,7 +123,8 @@ def test_rejection_matrix_eight_cases():
         for intercepted in (True, False):
             for higher in (True, False):
                 p = program(covered, intercepted, higher)
-                rejected = analyze(p).feasibility.must_not_read_from
+                result = analyze(p)
+                rejected = rejected_pairs(result.facts, result.feasibility)
                 load = NodeId("irq0", 2)
                 store = NodeId("irq1", 1 if intercepted else 2)
                 if covered and intercepted:
@@ -177,9 +179,10 @@ def sweep():
         stats["programs"] += 1
         stats["asserts"] += len(pruned.report.verdicts)
         stats["flows"] += len(oracle.flows)
-        stats["rejected"] += len(pruned.feasibility.must_not_read_from)
+        rejected = rejected_pairs(pruned.facts, pruned.feasibility)
+        stats["rejected"] += len(rejected)
 
-        if oracle.flows & pruned.feasibility.must_not_read_from:
+        if oracle.flows & rejected:
             failures["rejected_flow"].append(seed)
         for result in (pruned, plain):
             proved = {v.assertion_id for v in result.report.verdicts if v.verdict == "Proved"}

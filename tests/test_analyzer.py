@@ -86,9 +86,11 @@ def test_local_analysis_joins_interference_at_loads():
     store_zero = NodeId("irq1", 5)
     interference = {"x": ((store_one, Interval.const(1)), (store_zero, Interval.const(0)))}
     entry = AbstractState({"x": Interval.const(0), "b": Interval.const(0)})
-    rejecting = FeasibilityResult(covered_load=frozenset(), intercepted_store=frozenset(),
-                                  must_not_read_from=frozenset({(load_node, store_one, "x")}),
-                                  pairs_total=1)
+    # the covered load rejects the intercepted store_one and admits store_zero
+    rejecting = FeasibilityResult(covered_load=frozenset({(load_node, "x")}),
+                                  intercepted_store=frozenset({(store_one, "x")}),
+                                  priority={"irq0": 0, "irq1": 1},
+                                  pairs_total=2, pairs_pruned=1)
     check = NodeId("irq0", 2)
 
     pruned = analyze_local(g, interference, rejecting, AnalysisConfig(), entry)

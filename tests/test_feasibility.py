@@ -3,12 +3,14 @@ import random
 import pytest
 
 from irqverify import (
+    analyze,
     covered_loads,
     extract_facts,
     intercepted_stores,
     must_not_read_from,
     no_preempt,
     parse_program,
+    rejected_pairs,
 )
 from irqverify.cfg import build_all, dominance_pairs
 from irqverify.cli import main
@@ -214,39 +216,39 @@ def test_rejection_matrix(covered, intercepted, higher, want):
     fb, cfgs = facts_of(p)
     result = must_not_read_from(fb)
     load, store = quadrant_target(cfgs, intercepted)
-    assert ((load, store, "x") in result.must_not_read_from) == want
+    assert ((load, store, "x") in rejected_pairs(fb, result)) == want
 
 
 def test_three_priorities_rejections():
     p = load_corpus("three_priorities")
     fb, cfgs = facts_of(p)
-    result = must_not_read_from(fb)
+    rejected = rejected_pairs(fb, must_not_read_from(fb))
     m_assert = assert_node_of(cfgs, "irq_M")
     l_store = store_node(cfgs, "irq_L", "x", 0)
     h_assert = assert_node_of(cfgs, "irq_H")
     m_store_y = store_node(cfgs, "irq_M", "y", 1)
-    assert (m_assert, l_store, "x") in result.must_not_read_from
+    assert (m_assert, l_store, "x") in rejected
     # sequential flow into the high handler's read stays possible
-    assert (h_assert, m_store_y, "y") not in result.must_not_read_from
-    assert len(result.must_not_read_from) == 1
+    assert (h_assert, m_store_y, "y") not in rejected
+    assert len(rejected) == 1
 
 
 def test_rejections_are_cross_handler_same_variable():
     for name in ("three_priorities", "branch_overwrites", "loop_store_overwrite"):
         p = load_corpus(name)
         fb, _ = facts_of(p)
-        result = must_not_read_from(fb)
-        for (l, s, v) in result.must_not_read_from:
+        rejected = rejected_pairs(fb, must_not_read_from(fb))
+        for (l, s, v) in rejected:
             assert l.handler != s.handler
             assert (l, v) in fb.load and (s, v) in fb.store
-        assert result.must_not_read_from <= cross_pairs(fb)
+        assert rejected <= cross_pairs(fb)
 
 
 def test_single_handler_has_no_cross_pairs():
     p = parse_program("global x = 0; handler h priority 0 { x = 1; assert(x == 1); }")
     fb, _ = facts_of(p)
     assert cross_pairs(fb) == frozenset()
-    assert must_not_read_from(fb).must_not_read_from == frozenset()
+    assert rejected_pairs(fb, must_not_read_from(fb)) == frozenset()
 
 
 def test_every_rejection_is_justified_by_a_rule():
@@ -257,7 +259,7 @@ def test_every_rejection_is_justified_by_a_rule():
         covered = result.covered_load
         intercepted = result.intercepted_store
         np = no_preempt(fb)
-        for (l, s, v) in result.must_not_read_from:
+        for (l, s, v) in rejected_pairs(fb, result):
             r1 = (l, v) in covered and (s, v) in intercepted
             r2 = (l, v) in covered and (s, l) in np
             r3 = (s, v) in intercepted and (l, s) in np
@@ -291,6 +293,27 @@ def test_pairs_total_counts_cross_pairs():
     for seed in range(50):
         fb, _ = facts_of(random_program(random.Random(seed)))
         assert must_not_read_from(fb).pairs_total == len(cross_pairs(fb)), f"seed {seed}"
+
+
+def test_pairs_pruned_counts_rejected_pairs():
+    for seed in range(50):
+        fb, _ = facts_of(random_program(random.Random(seed)))
+        result = must_not_read_from(fb)
+        assert result.pairs_pruned == len(rejected_pairs(fb, result)), f"seed {seed}"
+
+
+def test_analysis_builds_no_pair_triples(monkeypatch, capsys):
+    def no_triples(*args, **kwargs):
+        raise AssertionError("the analysis must not enumerate (load, store, var) triples")
+
+    monkeypatch.setattr("irqverify.feasibility.cross_pairs", no_triples)
+    monkeypatch.setattr("irqverify.feasibility.rejected_pairs", no_triples)
+    path = str(corpus_path("three_priorities"))
+    assert main(["analyze", path]) == 1
+    assert "pairs: total=3 pruned=1" in capsys.readouterr().out
+    assert main(["compare", "--json", path]) == 0
+    report = analyze(load_corpus("three_priorities")).report
+    assert (report.pairs_total, report.pairs_pruned) == (3, 1)
 
 
 def test_no_preempt_matches_brute_force_over_handlers():

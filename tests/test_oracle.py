@@ -9,6 +9,7 @@ from irqverify import (
     collect_traces,
     enumerate_executions,
     parse_program,
+    rejected_pairs,
     thread_enumerate,
 )
 from irqverify.analyzer import analyze
@@ -165,7 +166,7 @@ def test_rejected_pairs_never_observed_on_corpus():
         result = analyze(p)
         oracle = enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2,
                                                       track_flows=True))
-        assert oracle.flows & result.feasibility.must_not_read_from == frozenset()
+        assert oracle.flows & rejected_pairs(result.facts, result.feasibility) == frozenset()
 
 
 def test_observed_flows_pair_same_variable_loads_and_stores():
