@@ -108,7 +108,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
                                  track_flows=False)
     try:
-        oracle_result = enumerate_executions(program, oracle_config)
+        oracle_result = enumerate_executions(program, oracle_config, prepared[0])
         violated = oracle_result.violated
         oracle_skipped = False
     except OracleLimitError:

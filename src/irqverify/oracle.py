@@ -9,6 +9,20 @@ loop unroll limit; invocation is never mandatory, so every stack-empty point
 doubles as a possible end of execution.
 
 Preemption happens only between instructions; a single instruction is atomic.
+
+Unless traces are recorded, the search applies static partial-order reduction
+with a singleton ample set. A node is local-only when it reads no global,
+writes no global and is not an assertion (the synthetic exit and the join
+skips are local-only). Stepping a frame at such a node commutes with every
+other frame's steps and with every invocation, so when the innermost frame
+(under thread semantics, the first frame in frame order) sits at one, only
+that frame steps. The guard: the reduction applies only when that step has
+at least one successor. A dead-end step, such as a loop body's last node
+whose back edge exceeds the unroll bound, ends the path, and the invocations
+offered at that state are then the only way on. The state graph is acyclic
+(budgets fall and loop counts are bounded), so no cycle proviso is needed.
+The reduction keeps every violation, flow, assertion value, truncation and
+distinct end state; it only explores fewer states on the way.
 """
 
 from __future__ import annotations
@@ -16,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .cfg import Cfg, NodeId, build_cfg, node_global_reads
+from .cfg import Cfg, NodeId, build_cfg, node_global_reads, node_global_write
 from .ir import (
     Add,
     Assert,
@@ -90,11 +104,12 @@ class SchedulerState(NamedTuple):
 
 
 class _Enumerator:
-    def __init__(self, program: Program, oc: OracleConfig, interrupt: bool):
+    def __init__(self, program: Program, oc: OracleConfig, interrupt: bool,
+                 cfgs: list[Cfg] | None = None):
         self.program = program
         self.oc = oc
         self.interrupt = interrupt
-        self.cfgs = [build_cfg(h) for h in program.handlers]
+        self.cfgs = cfgs if cfgs is not None else [build_cfg(h) for h in program.handlers]
         self.priorities = [h.priority for h in program.handlers]
         self.gnames = list(program.global_names())
         self.gidx = {name: i for i, name in enumerate(self.gnames)}
@@ -102,6 +117,10 @@ class _Enumerator:
         for g in self.cfgs:
             for n, ins in g.instr.items():
                 self.reads[n] = node_global_reads(ins)
+        self.local_only = frozenset(
+            n for g in self.cfgs for n, ins in g.instr.items()
+            if not self.reads[n] and node_global_write(ins) is None
+            and not isinstance(ins, Assert))
 
         self.violated: set[str] = set()
         self.flows: set[tuple[NodeId, NodeId, str]] = set()
@@ -264,6 +283,21 @@ class _Enumerator:
             out.append(st._replace(frames=self._frames_with(frames), budgets=budgets))
         return out
 
+    def _ample(self, st: SchedulerState, trace: tuple[NodeId, ...]
+               ) -> list[tuple[SchedulerState, tuple[NodeId, ...]]]:
+        """The steps of the frame that alone may move on from `st`, or [].
+
+        That frame is the innermost one under interrupt semantics, or the
+        first in frame order under thread semantics, when it sits at a
+        local-only node. [] (no frame qualifies, or its step is a dead end)
+        means the caller must expand `st` in full.
+        """
+        indices = (len(st.frames) - 1,) if self.interrupt else range(len(st.frames))
+        for idx in indices:
+            if st.frames[idx].node in self.local_only:
+                return self._step_frame(st, trace, idx)
+        return []
+
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> OracleResult:
@@ -287,6 +321,12 @@ class _Enumerator:
             if states_explored > self.oc.max_states:
                 raise OracleLimitError(
                     f"exceeded {self.oc.max_states} explored scheduler states")
+            if st.frames and not self.oc.record_traces:
+                # partial-order reduction; see the module docstring
+                ample = self._ample(st, trace)
+                if ample:
+                    stack.extend(reversed(ample))
+                    continue
             choices: list[tuple[SchedulerState, tuple[NodeId, ...]]] = []
             if st.frames:
                 if self.interrupt:
@@ -314,7 +354,8 @@ class _Enumerator:
         )
 
 
-def enumerate_executions(program: Program, config: OracleConfig) -> OracleResult:
+def enumerate_executions(program: Program, config: OracleConfig,
+                         cfgs: list[Cfg] | None = None) -> OracleResult:
     """Depth-first enumeration of all bounded interrupt-semantics executions.
 
     At every point either the innermost active handler executes one
@@ -322,18 +363,20 @@ def enumerate_executions(program: Program, config: OracleConfig) -> OracleResult
     priority than everything active is invoked; when the stack is empty any
     budgeted handler may start, or the execution may end. Nondeterministic
     conditions explore both branches; loops beyond the unroll bound truncate
-    their path and set the `truncated` flag.
+    their path and set the `truncated` flag. `cfgs` are the program's graphs
+    in handler order (`prepare(program)[0]`); they are built here when omitted.
     """
-    return _Enumerator(program, config, interrupt=True).run()
+    return _Enumerator(program, config, interrupt=True, cfgs=cfgs).run()
 
 
-def thread_enumerate(program: Program, config: OracleConfig) -> OracleResult:
+def thread_enumerate(program: Program, config: OracleConfig,
+                     cfgs: list[Cfg] | None = None) -> OracleResult:
     """Free-preemption enumeration: any live frame may step at any point.
 
     Models plain threads; the interrupt-semantics behaviors are always a
-    subset of these.
+    subset of these. `cfgs` is as for `enumerate_executions`.
     """
-    return _Enumerator(program, config, interrupt=False).run()
+    return _Enumerator(program, config, interrupt=False, cfgs=cfgs).run()
 
 
 def collect_traces(program: Program, config: OracleConfig, *, threads: bool = False

@@ -36,6 +36,7 @@ from test_cfg import _small_random_cfgs, brute_dominators, brute_post_dominators
 from test_domain import random_interval, random_state
 
 SWEEP_SIZE = 500
+BUDGET3_SWEEP_SIZE = 100
 
 
 def criterion(num, label):
@@ -162,41 +163,54 @@ def test_trace_counts():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def sweep():
+def _check_against_oracle(p, budget, label, failures, stats):
+    """Record in `failures` every way the analysis of `p` disagrees with the oracle."""
+    oracle = enumerate_executions(p, OracleConfig(
+        max_invocations=budget, unroll=2, track_flows=True,
+        record_assert_values=True, max_executions=400_000))
+    pruned = analyze(p, AnalysisConfig(pruning=True))
+    plain = analyze(p, AnalysisConfig(pruning=False))
+
+    stats["programs"] += 1
+    stats["asserts"] += len(pruned.report.verdicts)
+    stats["flows"] += len(oracle.flows)
+    rejected = rejected_pairs(pruned.facts, pruned.feasibility)
+    stats["rejected"] += len(rejected)
+
+    if oracle.flows & rejected:
+        failures["rejected_flow"].append(label)
+    for result in (pruned, plain):
+        proved = {v.assertion_id for v in result.report.verdicts if v.verdict == "Proved"}
+        if proved & oracle.violated:
+            failures["proved_violated"].append((label, result.report.pruning_enabled))
+        for (node, var, value) in oracle.assert_values:
+            if not result.node_states[node].get(var).contains(value):
+                failures["containment"].append((label, result.report.pruning_enabled,
+                                                str(node), var, value))
+    for node, state in pruned.node_states.items():
+        if not leq(state, plain.node_states[node]):
+            failures["refinement"].append((label, str(node)))
+
+
+def _new_sweep():
     failures = {"rejected_flow": [], "containment": [], "proved_violated": [], "refinement": []}
     stats = {"programs": 0, "asserts": 0, "flows": 0, "rejected": 0}
+    return failures, stats
+
+
+def _sweep_line(name, stats):
+    return (f"[{name}: {stats['programs']} programs, {stats['asserts']} assertions, "
+            f"{stats['flows']} flows, {stats['rejected']} rejected pairs]")
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    failures, stats = _new_sweep()
     for seed in range(SWEEP_SIZE):
         rng = random.Random(seed)
         p = random_program(rng)
-        budget = oracle_budget(rng, p)
-        oracle = enumerate_executions(p, OracleConfig(
-            max_invocations=budget, unroll=2, track_flows=True,
-            record_assert_values=True, max_executions=400_000))
-        pruned = analyze(p, AnalysisConfig(pruning=True))
-        plain = analyze(p, AnalysisConfig(pruning=False))
-
-        stats["programs"] += 1
-        stats["asserts"] += len(pruned.report.verdicts)
-        stats["flows"] += len(oracle.flows)
-        rejected = rejected_pairs(pruned.facts, pruned.feasibility)
-        stats["rejected"] += len(rejected)
-
-        if oracle.flows & rejected:
-            failures["rejected_flow"].append(seed)
-        for result in (pruned, plain):
-            proved = {v.assertion_id for v in result.report.verdicts if v.verdict == "Proved"}
-            if proved & oracle.violated:
-                failures["proved_violated"].append((seed, result.report.pruning_enabled))
-            for (node, var, value) in oracle.assert_values:
-                if not result.node_states[node].get(var).contains(value):
-                    failures["containment"].append((seed, result.report.pruning_enabled,
-                                                    str(node), var, value))
-        for node, state in pruned.node_states.items():
-            if not leq(state, plain.node_states[node]):
-                failures["refinement"].append((seed, str(node)))
-    print(f"[sweep: {stats['programs']} programs, {stats['asserts']} assertions, "
-          f"{stats['flows']} flows, {stats['rejected']} rejected pairs]")
+        _check_against_oracle(p, oracle_budget(rng, p), seed, failures, stats)
+    print(_sweep_line("sweep", stats))
     return failures
 
 
@@ -274,3 +288,22 @@ def test_cli_determinism_full_corpus():
             assert first.returncode == second.returncode, (name, sub)
             if "--json" in sub or sub[0] == "oracle":
                 json.loads(first.stdout)  # well-formed machine output
+
+
+# ---------------------------------------------------------------------------
+# Criterion 11: a deeper sweep, budget 3
+# ---------------------------------------------------------------------------
+
+
+@criterion(11, "budget-3 soundness sweep (100 two-handler programs)")
+def test_budget_three_sweep():
+    # two handlers only: progen's `oracle_budget` keeps three-handler programs at 1
+    failures, stats = _new_sweep()
+    seed = SWEEP_SIZE
+    while stats["programs"] < BUDGET3_SWEEP_SIZE:
+        p = random_program(random.Random(seed))
+        if len(p.handlers) == 2:
+            _check_against_oracle(p, 3, seed, failures, stats)
+        seed += 1
+    print(_sweep_line("budget-3 sweep", stats))
+    assert failures == {kind: [] for kind in failures}

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from irqverify.cli import main
 
-from conftest import corpus_path
+from conftest import CORPUS_NAMES, corpus_path
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,38 @@ def test_input_nested_too_deeply_exit_two(capsys, tmp_path, name):
     assert "Traceback" not in err
 
 
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """One to three byte-level edits: overwrite, delete, insert or copy a span."""
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(4)
+        pos = rng.randrange(len(out) + 1)
+        if op == 0 and pos < len(out):
+            out[pos] = rng.randrange(256)
+        elif op == 1 and pos < len(out):
+            del out[pos]
+        elif op == 2:
+            out.insert(pos, rng.choice(b"{}();=+-*<>!&|#/0123456789xyzt \n"))
+        else:
+            start = rng.randrange(len(out) + 1)
+            out[pos:pos] = out[start:start + rng.randint(1, 16)]
+    return bytes(out)
+
+
+def test_mutated_inputs_never_end_in_traceback(capsys, tmp_path):
+    # 35 mutants of each corpus program, 5 of each (slow to parse) deep input
+    originals = [corpus_path(name).read_bytes() for name in CORPUS_NAMES] * 35
+    originals += [DEEP_INPUTS[name].encode() for name in sorted(DEEP_INPUTS)] * 5
+    rng = random.Random(2024)
+    src = tmp_path / "mutant.irq"
+    for i, original in enumerate(originals):
+        data = _mutate(rng, original)
+        src.write_bytes(data)
+        for sub in (["analyze"], ["facts"], ["compare", "--json"]):
+            code, _, err = run_cli(capsys, *sub, str(src))
+            assert code in (0, 1, 2) and "Traceback" not in err, (i, sub, data, err)
+
+
 def test_analyze_dump_flags(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--dump-cfg", "--dump-facts",
                            str(corpus_path("loop_store_overwrite")))
@@ -154,7 +187,7 @@ def test_compare_oracle_ceiling_marks_skipped(capsys, tmp_path, monkeypatch):
     import irqverify.cli as cli_mod
     from irqverify import OracleLimitError
 
-    def boom(program, config):
+    def boom(program, config, cfgs=None):
         raise OracleLimitError("too many executions")
 
     monkeypatch.setattr(cli_mod, "enumerate_executions", boom)
@@ -163,6 +196,16 @@ def test_compare_oracle_ceiling_marks_skipped(capsys, tmp_path, monkeypatch):
     payload = json.loads(out)
     assert payload["oracle_skipped"] is True
     assert all(row["oracle"] == "skipped" for row in payload["rows"])
+
+
+def test_compare_builds_graphs_once(capsys, monkeypatch):
+    def rebuild(handler):
+        raise AssertionError("the oracle rebuilt a graph that prepare had built")
+
+    monkeypatch.setattr("irqverify.oracle.build_cfg", rebuild)
+    code, out, _ = run_cli(capsys, "compare", "--json", str(corpus_path("three_priorities")))
+    assert code == 0
+    assert json.loads(out)["oracle_skipped"] is False
 
 
 def test_oracle_ceiling_exit_two(capsys, monkeypatch):

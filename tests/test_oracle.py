@@ -186,3 +186,18 @@ def test_deterministic_results():
     a = enumerate_executions(p, cfg)
     b = enumerate_executions(p, cfg)
     assert a == b
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_executions, thread_enumerate])
+def test_reduction_keeps_invocations_at_a_dead_end_step(enumerate_fn):
+    # `t = 1` is local-only, and on the third pass its back edge exceeds the
+    # unroll bound; `hi` can still preempt there and see x == 3
+    p = parse_program(
+        "global x = 0;"
+        "handler lo priority 0 { local t = 0; while (*) { x = x + 1; t = 1; } }"
+        "handler hi priority 1 { assert(x <= 2); }"
+    )
+    result = enumerate_fn(p, OracleConfig(max_invocations=1, unroll=2,
+                                          record_assert_values=True))
+    assert "hi#0" in result.violated
+    assert (NodeId("hi", 1), "x", 3) in result.assert_values
