@@ -283,21 +283,6 @@ class _Enumerator:
             out.append(st._replace(frames=self._frames_with(frames), budgets=budgets))
         return out
 
-    def _ample(self, st: SchedulerState, trace: tuple[NodeId, ...]
-               ) -> list[tuple[SchedulerState, tuple[NodeId, ...]]]:
-        """The steps of the frame that alone may move on from `st`, or [].
-
-        That frame is the innermost one under interrupt semantics, or the
-        first in frame order under thread semantics, when it sits at a
-        local-only node. [] (no frame qualifies, or its step is a dead end)
-        means the caller must expand `st` in full.
-        """
-        indices = (len(st.frames) - 1,) if self.interrupt else range(len(st.frames))
-        for idx in indices:
-            if st.frames[idx].node in self.local_only:
-                return self._step_frame(st, trace, idx)
-        return []
-
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> OracleResult:
@@ -321,18 +306,24 @@ class _Enumerator:
             if states_explored > self.oc.max_states:
                 raise OracleLimitError(
                     f"exceeded {self.oc.max_states} explored scheduler states")
-            if st.frames and not self.oc.record_traces:
-                # partial-order reduction; see the module docstring
-                ample = self._ample(st, trace)
-                if ample:
-                    stack.extend(reversed(ample))
-                    continue
             choices: list[tuple[SchedulerState, tuple[NodeId, ...]]] = []
             if st.frames:
-                if self.interrupt:
-                    choices.extend(self._step_frame(st, trace, len(st.frames) - 1))
-                else:
-                    for idx in range(len(st.frames)):
+                indices = (len(st.frames) - 1,) if self.interrupt else range(len(st.frames))
+                ample_idx = None
+                if not self.oc.record_traces:
+                    # partial-order reduction; see the module docstring
+                    for idx in indices:
+                        if st.frames[idx].node in self.local_only:
+                            ample_idx = idx
+                            break
+                    if ample_idx is not None:
+                        ample = self._step_frame(st, trace, ample_idx)
+                        if ample:
+                            stack.extend(reversed(ample))
+                            continue
+                # a dead-end ample step adds nothing; the other frames and invocations still may
+                for idx in indices:
+                    if idx != ample_idx:
                         choices.extend(self._step_frame(st, trace, idx))
             elif st.budgets != initial_budgets:
                 # Stack is empty: stopping here is a complete execution.
@@ -369,14 +360,13 @@ def enumerate_executions(program: Program, config: OracleConfig,
     return _Enumerator(program, config, interrupt=True, cfgs=cfgs).run()
 
 
-def thread_enumerate(program: Program, config: OracleConfig,
-                     cfgs: list[Cfg] | None = None) -> OracleResult:
+def thread_enumerate(program: Program, config: OracleConfig) -> OracleResult:
     """Free-preemption enumeration: any live frame may step at any point.
 
     Models plain threads; the interrupt-semantics behaviors are always a
-    subset of these. `cfgs` is as for `enumerate_executions`.
+    subset of these.
     """
-    return _Enumerator(program, config, interrupt=False, cfgs=cfgs).run()
+    return _Enumerator(program, config, interrupt=False).run()
 
 
 def collect_traces(program: Program, config: OracleConfig, *, threads: bool = False

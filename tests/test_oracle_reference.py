@@ -5,8 +5,9 @@ replaced: at every state it offers every step of every frame that may move
 and every invocation. It is kept verbatim as a test oracle. The whole
 `OracleResult` (violations, flows, assertion values, execution count and
 truncation) must be the same on the corpus at budgets 1-2 in both semantics,
-on progen seeds 0-199 with the acceptance sweep's configuration, and on
-seeds 0-19 with thread semantics at budget 1. Like progen's `oracle_budget`,
+on progen seeds 0-199 with the acceptance sweep's configuration, on the
+first 20 two-handler programs of the budget-3 sweep (seeds 500 and up), and
+on seeds 0-19 with thread semantics at budget 1. Like progen's `oracle_budget`,
 the corpus runs give three-handler programs budget 2 under interrupt
 semantics only: the unreduced thread search of `branch_overwrites` at
 budget 2 alone takes about 15 s. With traces recorded nothing is reduced,
@@ -103,6 +104,19 @@ def test_matches_unreduced_on_sweep_seeds():
         config = OracleConfig(max_invocations=oracle_budget(rng, p), unroll=2, track_flows=True,
                               record_assert_values=True, max_executions=400_000)
         _check(p, config, True, enumerate_executions, f"progen seed {seed}")
+
+
+def test_matches_unreduced_at_budget_three():
+    # the first programs of the acceptance suite's budget-3 sweep (criterion 11)
+    config = OracleConfig(max_invocations=3, unroll=2, track_flows=True,
+                          record_assert_values=True, max_executions=400_000)
+    checked, seed = 0, 500
+    while checked < 20:
+        p = random_program(random.Random(seed))
+        if len(p.handlers) == 2:
+            _check(p, config, True, enumerate_executions, f"progen seed {seed}")
+            checked += 1
+        seed += 1
 
 
 def test_matches_unreduced_on_thread_seeds():
