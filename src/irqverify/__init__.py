@@ -35,7 +35,6 @@ from .oracle import (
     OracleConfig,
     OracleLimitError,
     OracleResult,
-    SchedulerState,
     collect_traces,
     enumerate_executions,
     thread_enumerate,
@@ -62,7 +61,6 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "Program",
-    "SchedulerState",
     "Verdict",
     "access_info",
     "analyze",

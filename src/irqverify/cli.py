@@ -55,17 +55,15 @@ def _render_report(report: AnalysisReport, as_json: bool) -> str:
 
 
 def _oracle_json(result) -> dict:
-    out = {
+    return {
         "violated": sorted(result.violated),
         "executions": result.executions,
         "truncated": result.truncated,
-    }
-    if result.flows is not None:
-        out["flows"] = [
+        "flows": [
             {"load": str(l), "store": str(s), "var": v}
             for l, s, v in sorted(result.flows, key=lambda t: (str(t[0]), str(t[1]), t[2]))
-        ]
-    return out
+        ],
+    }
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

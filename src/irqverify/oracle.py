@@ -10,6 +10,21 @@ doubles as a possible end of execution.
 
 Preemption happens only between instructions; a single instruction is atomic.
 
+A scheduler state is the plain tuple `(frames, global_env, writers,
+budgets)`: `global_env[i]` is the value of global i, `writers[i]` the
+`NodeId` of the store that wrote it (None while the initial value stands),
+and `budgets[h]` the invocations handler h has left. A frame is `(handler
+index, node index, locals, loops)`, with locals as sorted `(name, value)`
+pairs and loops as sorted `(loop head index, iterations)` pairs. Under
+interrupt semantics the frames are the activation stack, innermost last;
+under thread semantics their order carries no meaning, so they are kept
+sorted and equal states compare equal. Each handler has a step table, built
+once from its graph: row i, for the node of index i, holds the instruction
+kind, the instruction, its successor steps as `(successor index, is back
+edge, index of the loop head it exits or -1)`, the indices of the globals it
+reads, whether it is local-only, and its `NodeId`, which is what flows,
+traces and assertion values report.
+
 Unless traces are recorded, the search applies static partial-order reduction
 with a singleton ample set. A node is local-only when it reads no global,
 writes no global and is not an assertion (the synthetic exit and the join
@@ -27,8 +42,8 @@ distinct end state; it only explores fewer states on the way.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .cfg import Cfg, NodeId, build_cfg, node_global_reads, node_global_write
 from .ir import (
@@ -83,24 +98,12 @@ class OracleResult:
     assert_values: frozenset[tuple[NodeId, str, int]] | None = None
 
 
-class _Frame(NamedTuple):
-    handler: int
-    node: NodeId
-    locals: tuple[tuple[str, int], ...]
-    loops: tuple[tuple[NodeId, int], ...]
+# Instruction kinds of a step-table row; the exit node gets its own kind.
+_EXIT, _SKIP, _ASSUME, _ASSERT, _ASSIGN, _HAVOC = range(6)
+_KINDS = {Skip: _SKIP, Assume: _ASSUME, Assert: _ASSERT, Assign: _ASSIGN, Havoc: _HAVOC}
 
-
-class SchedulerState(NamedTuple):
-    """One point of one execution: activation stack, memory, and budgets.
-
-    `writers[i]` tracks which store node produced the current value of global
-    i (None means the initial value still stands).
-    """
-
-    frames: tuple[_Frame, ...]
-    global_env: tuple[int, ...]
-    writers: tuple[NodeId | None, ...]
-    budgets: tuple[int, ...]
+_CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class _Enumerator:
@@ -111,16 +114,10 @@ class _Enumerator:
         self.interrupt = interrupt
         self.cfgs = cfgs if cfgs is not None else [build_cfg(h) for h in program.handlers]
         self.priorities = [h.priority for h in program.handlers]
+        self.entries = [g.entry.index for g in self.cfgs]
         self.gnames = list(program.global_names())
         self.gidx = {name: i for i, name in enumerate(self.gnames)}
-        self.reads: dict[NodeId, tuple[str, ...]] = {}
-        for g in self.cfgs:
-            for n, ins in g.instr.items():
-                self.reads[n] = node_global_reads(ins)
-        self.local_only = frozenset(
-            n for g in self.cfgs for n, ins in g.instr.items()
-            if not self.reads[n] and node_global_write(ins) is None
-            and not isinstance(ins, Assert))
+        self.table = [self._rows(g) for g in self.cfgs]
 
         self.violated: set[str] = set()
         self.flows: set[tuple[NodeId, NodeId, str]] = set()
@@ -128,6 +125,26 @@ class _Enumerator:
         self.traces: set[tuple[NodeId, ...]] = set()
         self.executions = 0
         self.truncated = False
+
+    def _rows(self, g: Cfg) -> tuple[tuple, ...]:
+        """The step table of one handler: row i describes the node of index i."""
+        rows = []
+        for i, n in enumerate(g.nodes):
+            assert n.index == i
+            ins = g.instr[n]
+            if n == g.exit:
+                kind = _EXIT
+            elif type(ins) in _KINDS:
+                kind = _KINDS[type(ins)]
+            else:
+                raise TypeError(f"not executable: {ins!r}")
+            steps = tuple((s.index, (n, s) in g.back_edges,
+                           g.loop_exits[s].index if s in g.loop_exits else -1)
+                          for s in g.succs[n])
+            reads = tuple(self.gidx[name] for name in node_global_reads(ins))
+            local_only = not reads and node_global_write(ins) is None and kind != _ASSERT
+            rows.append((kind, ins, steps, reads, local_only, n))
+        return tuple(rows)
 
     # -- concrete evaluation -------------------------------------------------
 
@@ -150,18 +167,15 @@ class _Enumerator:
         raise TypeError(f"not an expression: {e!r}")
 
     def _eval_cmp(self, c: Cmp, genv, locs) -> bool:
-        a = self._eval(c.left, genv, locs)
-        b = self._eval(c.right, genv, locs)
-        return {"==": a == b, "!=": a != b, "<": a < b,
-                "<=": a <= b, ">": a > b, ">=": a >= b}[c.op]
+        return _CMP[c.op](self._eval(c.left, genv, locs), self._eval(c.right, genv, locs))
 
-    def _record_reads(self, node: NodeId, st: SchedulerState) -> None:
+    def _record_reads(self, node: NodeId, reads: tuple[int, ...], writers: tuple) -> None:
         if not self.oc.track_flows:
             return
-        for name in self.reads[node]:
-            w = st.writers[self.gidx[name]]
+        for i in reads:
+            w = writers[i]
             if w is not None:
-                self.flows.add((node, w, name))
+                self.flows.add((node, w, self.gnames[i]))
 
     @staticmethod
     def _set_local(locs: tuple[tuple[str, int], ...], name: str, value: int) -> tuple[tuple[str, int], ...]:
@@ -170,150 +184,132 @@ class _Enumerator:
 
     # -- stepping -------------------------------------------------------------
 
-    def _frames_with(self, frames: tuple[_Frame, ...]) -> tuple[_Frame, ...]:
-        """Frame order is the stack under interrupt semantics; under thread
-        semantics it carries no meaning, so keep it canonical for memoization."""
-        return frames if self.interrupt else tuple(sorted(frames))
+    def _advance(self, st: tuple, idx: int, steps: tuple, locs: tuple, genv: tuple,
+                 writers: tuple, trace: tuple[NodeId, ...]) -> list[tuple[tuple, tuple[NodeId, ...]]]:
+        """Move frame `idx` along each of `steps`, honoring the loop unroll bound."""
+        frames = st[0]
+        h, _, _, loops = frames[idx]
+        before, after = frames[:idx], frames[idx + 1:]
+        out = []
+        for succ, back, exited in steps:
+            moved = loops
+            if back:
+                count = 1
+                for head, c in loops:
+                    if head == succ:
+                        count = c + 1
+                if count > self.oc.unroll:
+                    self.truncated = True
+                    continue
+                moved = tuple(sorted([p for p in loops if p[0] != succ] + [(succ, count)]))
+            elif exited >= 0 and loops:
+                # leaving the loop: its iteration count no longer matters
+                moved = tuple(p for p in loops if p[0] != exited)
+            new_frames = before + ((h, succ, locs, moved),) + after
+            if not self.interrupt:
+                # frame order carries no meaning under threads; keep it canonical for dedup
+                new_frames = tuple(sorted(new_frames))
+            out.append(((new_frames, genv, writers, st[3]), trace))
+        return out
 
-    def _advance(self, st: SchedulerState, idx: int, fr: _Frame, succ: NodeId,
-                 g: Cfg, **updates) -> SchedulerState | None:
-        """Move frame `idx` to `succ`, honoring the loop unroll bound."""
-        loops = fr.loops
-        if (fr.node, succ) in g.back_edges:
-            count = dict(loops).get(succ, 0) + 1
-            if count > self.oc.unroll:
-                self.truncated = True
-                return None
-            loops = tuple(sorted({**dict(loops), succ: count}.items()))
-        elif succ in g.loop_exits and loops:
-            # leaving the loop: its iteration count no longer matters
-            head = g.loop_exits[succ]
-            loops = tuple(pair for pair in loops if pair[0] != head)
-        new_frame = fr._replace(node=succ, loops=loops,
-                                locals=updates.pop("locals", fr.locals))
-        frames = self._frames_with(st.frames[:idx] + (new_frame,) + st.frames[idx + 1:])
-        return st._replace(frames=frames, **updates)
-
-    def _step_frame(self, st: SchedulerState, trace: tuple[NodeId, ...], idx: int
-                    ) -> list[tuple[SchedulerState, tuple[NodeId, ...]]]:
-        fr = st.frames[idx]
-        g = self.cfgs[fr.handler]
-        if fr.node == g.exit:
-            frames = self._frames_with(st.frames[:idx] + st.frames[idx + 1:])
-            return [(st._replace(frames=frames), trace)]
-
-        ins = g.instr[fr.node]
-        succs = g.succs[fr.node]
-        out: list[tuple[SchedulerState, tuple[NodeId, ...]]] = []
-
-        if isinstance(ins, Skip):
-            for s2 in succs:
-                nxt = self._advance(st, idx, fr, s2, g)
-                if nxt is not None:
-                    out.append((nxt, trace))
-        elif isinstance(ins, Assume):
-            alive = isinstance(ins.cond, Nondet) or self._eval_cmp(ins.cond, st.global_env, fr.locals)
-            if alive:
-                self._record_reads(fr.node, st)
-                for s2 in succs:
-                    nxt = self._advance(st, idx, fr, s2, g)
-                    if nxt is not None:
-                        out.append((nxt, trace))
-        elif isinstance(ins, Assert):
-            self._record_reads(fr.node, st)
+    def _step_frame(self, st: tuple, trace: tuple[NodeId, ...], idx: int
+                    ) -> list[tuple[tuple, tuple[NodeId, ...]]]:
+        frames, genv, writers, budgets = st
+        h, n, locs, _ = frames[idx]
+        kind, ins, steps, reads, _, node = self.table[h][n]
+        if kind == _EXIT:
+            # removing a frame keeps the thread-semantics order canonical
+            return [((frames[:idx] + frames[idx + 1:], genv, writers, budgets), trace)]
+        if kind == _SKIP:
+            return self._advance(st, idx, steps, locs, genv, writers, trace)
+        if kind == _ASSUME:
+            if type(ins.cond) is not Nondet and not self._eval_cmp(ins.cond, genv, locs):
+                return []
+            self._record_reads(node, reads, writers)
+            return self._advance(st, idx, steps, locs, genv, writers, trace)
+        if kind == _ASSERT:
+            self._record_reads(node, reads, writers)
             if self.oc.record_assert_values:
                 for v in set(cond_vars(ins.cond)):
-                    value = self._eval(v, st.global_env, fr.locals)
-                    self.assert_values.add((fr.node, v.name, value))
-            if not self._eval_cmp(ins.cond, st.global_env, fr.locals):
+                    self.assert_values.add((node, v.name, self._eval(v, genv, locs)))
+            if not self._eval_cmp(ins.cond, genv, locs):
                 self.violated.add(ins.uid)
-            new_trace = trace + (fr.node,) if self.oc.record_traces else trace
-            for s2 in succs:
-                nxt = self._advance(st, idx, fr, s2, g)
-                if nxt is not None:
-                    out.append((nxt, new_trace))
-        elif isinstance(ins, Assign):
-            self._record_reads(fr.node, st)
-            value = self._eval(ins.expr, st.global_env, fr.locals)
-            out.extend(self._write_and_advance(st, trace, idx, fr, g, succs, ins.target, value))
-        elif isinstance(ins, Havoc):
-            for value in HAVOC_VALUES:
-                out.extend(self._write_and_advance(st, trace, idx, fr, g, succs, ins.target, value))
+            if self.oc.record_traces:
+                trace += (node,)
+            return self._advance(st, idx, steps, locs, genv, writers, trace)
+        # an assignment or a havoc: write each value it may produce, then move on
+        if kind == _ASSIGN:
+            self._record_reads(node, reads, writers)
+            values = (self._eval(ins.expr, genv, locs),)
         else:
-            raise TypeError(f"not executable: {ins!r}")
-        return out
-
-    def _write_and_advance(self, st, trace, idx, fr, g, succs, target: VarRef, value: int):
-        updates = {}
-        locals_ = fr.locals
-        if target.is_global:
-            i = self.gidx[target.name]
-            genv = list(st.global_env)
-            genv[i] = value
-            writers = list(st.writers)
-            writers[i] = fr.node
-            updates = {"global_env": tuple(genv), "writers": tuple(writers)}
-        else:
-            locals_ = self._set_local(fr.locals, target.name, value)
-        new_trace = trace + (fr.node,) if self.oc.record_traces else trace
+            values = HAVOC_VALUES
+        if self.oc.record_traces:
+            trace += (node,)
+        target = ins.target
         out = []
-        for s2 in succs:
-            nxt = self._advance(st, idx, fr, s2, g, locals=locals_, **updates)
-            if nxt is not None:
-                out.append((nxt, new_trace))
+        for value in values:
+            if target.is_global:
+                i = self.gidx[target.name]
+                out += self._advance(st, idx, steps, locs, genv[:i] + (value,) + genv[i + 1:],
+                                     writers[:i] + (node,) + writers[i + 1:], trace)
+            else:
+                out += self._advance(st, idx, steps, self._set_local(locs, target.name, value),
+                                     genv, writers, trace)
         return out
 
-    def _invocations(self, st: SchedulerState) -> list[SchedulerState]:
+    def _invocations(self, st: tuple) -> list[tuple]:
+        frames, genv, writers, budgets = st
         floor = -1
-        if self.interrupt and st.frames:
-            floor = self.priorities[st.frames[-1].handler]
+        if self.interrupt and frames:
+            floor = self.priorities[frames[-1][0]]
         out = []
-        for h_idx, g in enumerate(self.cfgs):
-            if st.budgets[h_idx] == 0:
+        for h_idx, entry in enumerate(self.entries):
+            if budgets[h_idx] == 0:
                 continue
             if self.interrupt and self.priorities[h_idx] <= floor:
                 continue
-            frame = _Frame(handler=h_idx, node=g.entry, locals=(), loops=())
-            budgets = st.budgets[:h_idx] + (st.budgets[h_idx] - 1,) + st.budgets[h_idx + 1:]
-            frames = st.frames + (frame,)
+            new_budgets = budgets[:h_idx] + (budgets[h_idx] - 1,) + budgets[h_idx + 1:]
+            new_frames = frames + ((h_idx, entry, (), ()),)
             if self.interrupt:
-                priorities = [self.priorities[f.handler] for f in frames]
+                priorities = [self.priorities[f[0]] for f in new_frames]
                 assert priorities == sorted(priorities) and len(set(priorities)) == len(priorities), \
                     "activation stack must be strictly increasing in priority"
-            out.append(st._replace(frames=self._frames_with(frames), budgets=budgets))
+            else:
+                new_frames = tuple(sorted(new_frames))
+            out.append((new_frames, genv, writers, new_budgets))
         return out
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> OracleResult:
         initial_budgets = tuple(self.oc.max_invocations for _ in self.cfgs)
-        init = SchedulerState(
-            frames=(),
-            global_env=tuple(v for _, v in self.program.globals),
-            writers=tuple(None for _ in self.gnames),
-            budgets=initial_budgets,
-        )
-        stack: list[tuple[SchedulerState, tuple[NodeId, ...]]] = [(init, ())]
-        seen: set[SchedulerState] | None = None if self.oc.record_traces else set()
+        init = ((), tuple(v for _, v in self.program.globals),
+                tuple(None for _ in self.gnames), initial_budgets)
+        stack: list[tuple[tuple, tuple[NodeId, ...]]] = [(init, ())]
+        seen: set[tuple] | None = None if self.oc.record_traces else set()
         states_explored = 0
         while stack:
             st, trace = stack.pop()
             if seen is not None:
-                if st in seen:
-                    continue
+                # add-then-compare hashes the nested state once, not twice
+                size = len(seen)
                 seen.add(st)
+                if len(seen) == size:
+                    continue
             states_explored += 1
             if states_explored > self.oc.max_states:
                 raise OracleLimitError(
                     f"exceeded {self.oc.max_states} explored scheduler states")
-            choices: list[tuple[SchedulerState, tuple[NodeId, ...]]] = []
-            if st.frames:
-                indices = (len(st.frames) - 1,) if self.interrupt else range(len(st.frames))
+            frames = st[0]
+            choices: list[tuple[tuple, tuple[NodeId, ...]]] = []
+            if frames:
+                indices = (len(frames) - 1,) if self.interrupt else range(len(frames))
                 ample_idx = None
                 if not self.oc.record_traces:
                     # partial-order reduction; see the module docstring
                     for idx in indices:
-                        if st.frames[idx].node in self.local_only:
+                        h, n, _, _ = frames[idx]
+                        if self.table[h][n][4]:  # local-only
                             ample_idx = idx
                             break
                     if ample_idx is not None:
@@ -325,7 +321,7 @@ class _Enumerator:
                 for idx in indices:
                     if idx != ample_idx:
                         choices.extend(self._step_frame(st, trace, idx))
-            elif st.budgets != initial_budgets:
+            elif st[3] != initial_budgets:
                 # Stack is empty: stopping here is a complete execution.
                 self.executions += 1
                 if self.executions > self.oc.max_executions:

@@ -1,9 +1,9 @@
 """Deterministic random program generator for the property suites.
 
-Programs stay small on purpose: 2-3 handlers, at most two globals, at most a
-couple of locals, one loop level. That keeps the concrete oracle exhaustive
-within its budgets while still exercising branches, loops, interference, and
-priority ties.
+Programs stay small on purpose: 2-3 handlers (or a given count, for the
+four-handler sweep), at most two globals, at most a couple of locals, one
+loop level. That keeps the concrete oracle exhaustive within its budgets
+while still exercising branches, loops, interference, and priority ties.
 """
 
 from __future__ import annotations
@@ -98,10 +98,13 @@ class _HandlerGen:
         return tuple(self.statement(0) for _ in range(size))
 
 
-def random_program(rng: random.Random) -> Program:
+def random_program(rng: random.Random, handler_count: int | None = None) -> Program:
+    """Draw a program; `handler_count` fixes the number of handlers, which is
+    otherwise drawn (2-3). Without it the draws are those every pinned seed
+    relies on."""
     n_globals = rng.choice((1, 2, 2))
     globals_ = tuple((name, rng.randint(-1, 2)) for name in GLOBAL_NAMES[:n_globals])
-    n_handlers = rng.choice((2, 2, 2, 3))
+    n_handlers = rng.choice((2, 2, 2, 3)) if handler_count is None else handler_count
     handlers = []
     for i in range(n_handlers):
         gen = _HandlerGen(rng, tuple(g for g, _ in globals_), f"h{i}")

@@ -37,6 +37,7 @@ from test_domain import random_interval, random_state
 
 SWEEP_SIZE = 500
 BUDGET3_SWEEP_SIZE = 100
+FOUR_HANDLER_SEEDS = range(1000, 1040)
 
 
 def criterion(num, label):
@@ -270,6 +271,11 @@ def test_lattice_and_dominance_properties():
 # ---------------------------------------------------------------------------
 
 
+def _finished(proc: subprocess.Popen) -> subprocess.CompletedProcess:
+    stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
 @criterion(10, "byte-identical CLI output across runs")
 def test_cli_determinism_full_corpus():
     base = [sys.executable, "-m", "irqverify"]
@@ -282,8 +288,10 @@ def test_cli_determinism_full_corpus():
     for name in CORPUS_NAMES:
         path = str(corpus_path(name))
         for sub in subcommands:
-            first = subprocess.run(base + sub + [path], capture_output=True)
-            second = subprocess.run(base + sub + [path], capture_output=True)
+            # the two runs of a pair run side by side, at most two processes at once
+            pair = [subprocess.Popen(base + sub + [path], stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE) for _ in range(2)]
+            first, second = (_finished(proc) for proc in pair)
             assert first.stdout == second.stdout, (name, sub)
             assert first.returncode == second.returncode, (name, sub)
             if "--json" in sub or sub[0] == "oracle":
@@ -306,4 +314,19 @@ def test_budget_three_sweep():
             _check_against_oracle(p, 3, seed, failures, stats)
         seed += 1
     print(_sweep_line("budget-3 sweep", stats))
+    assert failures == {kind: [] for kind in failures}
+
+
+# ---------------------------------------------------------------------------
+# Criterion 12: a wider sweep, four handlers
+# ---------------------------------------------------------------------------
+
+
+@criterion(12, "four-handler soundness sweep (40 programs, budget 1)")
+def test_four_handler_sweep():
+    failures, stats = _new_sweep()
+    for seed in FOUR_HANDLER_SEEDS:
+        _check_against_oracle(random_program(random.Random(seed), handler_count=4), 1, seed,
+                              failures, stats)
+    print(_sweep_line("four-handler sweep", stats))
     assert failures == {kind: [] for kind in failures}

@@ -1,32 +1,257 @@
-"""The reduced oracle against the unreduced original.
+"""The oracle against an independent, unreduced reference implementation.
 
-`_Unreduced.run` below is the search loop that partial-order reduction
-replaced: at every state it offers every step of every frame that may move
-and every invocation. It is kept verbatim as a test oracle. The whole
-`OracleResult` (violations, flows, assertion values, execution count and
-truncation) must be the same on the corpus at budgets 1-2 in both semantics,
-on progen seeds 0-199 with the acceptance sweep's configuration, on the
-first 20 two-handler programs of the budget-3 sweep (seeds 500 and up), and
-on seeds 0-19 with thread semantics at budget 1. Like progen's `oracle_budget`,
-the corpus runs give three-handler programs budget 2 under interrupt
-semantics only: the unreduced thread search of `branch_overwrites` at
-budget 2 alone takes about 15 s. With traces recorded nothing is reduced,
-and the traces must be the same too.
+`_Frame`, `SchedulerState` and `_Unreduced` below are a verbatim copy of the
+enumerator as it was before partial-order reduction and the lean state
+encoding (NamedTuple states, per-visit CFG lookups), apart from its name and
+the reduction's local-only set, which this copy never reads. Its `run` offers
+every step of every frame that may move and every invocation at every state.
+Sharing no stepping code with `irqverify.oracle`, it catches a stepping bug
+that a subclass of the code under test would repeat on both sides.
+
+The whole `OracleResult` (violations, flows, assertion values, execution
+count and truncation) must be the same on the corpus at budgets 1-2 in both
+semantics, on progen seeds 0-199 with the acceptance sweep's configuration,
+on the first 20 two-handler programs of the budget-3 sweep (seeds 500 and
+up), on the first 5 programs of the four-handler sweep, and on seeds 0-19
+with thread semantics at budget 1. Like progen's `oracle_budget`, the corpus
+runs give three-handler programs budget 2 under interrupt semantics only: the
+unreduced thread search of `branch_overwrites` at budget 2 alone takes about
+15 s. With traces recorded nothing is reduced, and the traces must be the
+same too. The explored-state counts are pinned: `max_states` counts states,
+so an encoding that merged or split states would move them.
 """
 
+from __future__ import annotations
+
 import random
+from typing import NamedTuple
 
 import pytest
 
 from irqverify import OracleConfig, OracleLimitError, enumerate_executions, thread_enumerate
-from irqverify.cfg import NodeId
-from irqverify.oracle import OracleResult, SchedulerState, _Enumerator
+from irqverify.cfg import Cfg, NodeId, build_cfg, node_global_reads
+from irqverify.ir import (
+    Add,
+    Assert,
+    Assign,
+    Assume,
+    Cmp,
+    Const,
+    Expr,
+    Havoc,
+    Mul,
+    Nondet,
+    Program,
+    Skip,
+    Sub,
+    VarRef,
+    cond_vars,
+)
+from irqverify.oracle import HAVOC_VALUES, OracleResult
 
 from conftest import CORPUS_NAMES, load_corpus
 from progen import oracle_budget, random_program
+from test_acceptance import FOUR_HANDLER_SEEDS
 
 
-class _Unreduced(_Enumerator):
+class _Frame(NamedTuple):
+    handler: int
+    node: NodeId
+    locals: tuple[tuple[str, int], ...]
+    loops: tuple[tuple[NodeId, int], ...]
+
+
+class SchedulerState(NamedTuple):
+    """One point of one execution: activation stack, memory, and budgets.
+
+    `writers[i]` tracks which store node produced the current value of global
+    i (None means the initial value still stands).
+    """
+
+    frames: tuple[_Frame, ...]
+    global_env: tuple[int, ...]
+    writers: tuple[NodeId | None, ...]
+    budgets: tuple[int, ...]
+
+
+class _Unreduced:
+    def __init__(self, program: Program, oc: OracleConfig, interrupt: bool,
+                 cfgs: list[Cfg] | None = None):
+        self.program = program
+        self.oc = oc
+        self.interrupt = interrupt
+        self.cfgs = cfgs if cfgs is not None else [build_cfg(h) for h in program.handlers]
+        self.priorities = [h.priority for h in program.handlers]
+        self.gnames = list(program.global_names())
+        self.gidx = {name: i for i, name in enumerate(self.gnames)}
+        self.reads: dict[NodeId, tuple[str, ...]] = {}
+        for g in self.cfgs:
+            for n, ins in g.instr.items():
+                self.reads[n] = node_global_reads(ins)
+
+        self.violated: set[str] = set()
+        self.flows: set[tuple[NodeId, NodeId, str]] = set()
+        self.assert_values: set[tuple[NodeId, str, int]] = set()
+        self.traces: set[tuple[NodeId, ...]] = set()
+        self.executions = 0
+        self.truncated = False
+
+    # -- concrete evaluation -------------------------------------------------
+
+    def _eval(self, e: Expr, genv: tuple[int, ...], locs: tuple[tuple[str, int], ...]) -> int:
+        if isinstance(e, Const):
+            return e.value
+        if isinstance(e, VarRef):
+            if e.is_global:
+                return genv[self.gidx[e.name]]
+            for name, value in locs:
+                if name == e.name:
+                    return value
+            raise KeyError(f"local {e.name} unbound")
+        if isinstance(e, Add):
+            return self._eval(e.left, genv, locs) + self._eval(e.right, genv, locs)
+        if isinstance(e, Sub):
+            return self._eval(e.left, genv, locs) - self._eval(e.right, genv, locs)
+        if isinstance(e, Mul):
+            return e.coeff * self._eval(e.arg, genv, locs)
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _eval_cmp(self, c: Cmp, genv, locs) -> bool:
+        a = self._eval(c.left, genv, locs)
+        b = self._eval(c.right, genv, locs)
+        return {"==": a == b, "!=": a != b, "<": a < b,
+                "<=": a <= b, ">": a > b, ">=": a >= b}[c.op]
+
+    def _record_reads(self, node: NodeId, st: SchedulerState) -> None:
+        if not self.oc.track_flows:
+            return
+        for name in self.reads[node]:
+            w = st.writers[self.gidx[name]]
+            if w is not None:
+                self.flows.add((node, w, name))
+
+    @staticmethod
+    def _set_local(locs: tuple[tuple[str, int], ...], name: str, value: int) -> tuple[tuple[str, int], ...]:
+        kept = tuple((k, v) for k, v in locs if k != name)
+        return tuple(sorted(kept + ((name, value),)))
+
+    # -- stepping -------------------------------------------------------------
+
+    def _frames_with(self, frames: tuple[_Frame, ...]) -> tuple[_Frame, ...]:
+        """Frame order is the stack under interrupt semantics; under thread
+        semantics it carries no meaning, so keep it canonical for memoization."""
+        return frames if self.interrupt else tuple(sorted(frames))
+
+    def _advance(self, st: SchedulerState, idx: int, fr: _Frame, succ: NodeId,
+                 g: Cfg, **updates) -> SchedulerState | None:
+        """Move frame `idx` to `succ`, honoring the loop unroll bound."""
+        loops = fr.loops
+        if (fr.node, succ) in g.back_edges:
+            count = dict(loops).get(succ, 0) + 1
+            if count > self.oc.unroll:
+                self.truncated = True
+                return None
+            loops = tuple(sorted({**dict(loops), succ: count}.items()))
+        elif succ in g.loop_exits and loops:
+            # leaving the loop: its iteration count no longer matters
+            head = g.loop_exits[succ]
+            loops = tuple(pair for pair in loops if pair[0] != head)
+        new_frame = fr._replace(node=succ, loops=loops,
+                                locals=updates.pop("locals", fr.locals))
+        frames = self._frames_with(st.frames[:idx] + (new_frame,) + st.frames[idx + 1:])
+        return st._replace(frames=frames, **updates)
+
+    def _step_frame(self, st: SchedulerState, trace: tuple[NodeId, ...], idx: int
+                    ) -> list[tuple[SchedulerState, tuple[NodeId, ...]]]:
+        fr = st.frames[idx]
+        g = self.cfgs[fr.handler]
+        if fr.node == g.exit:
+            frames = self._frames_with(st.frames[:idx] + st.frames[idx + 1:])
+            return [(st._replace(frames=frames), trace)]
+
+        ins = g.instr[fr.node]
+        succs = g.succs[fr.node]
+        out: list[tuple[SchedulerState, tuple[NodeId, ...]]] = []
+
+        if isinstance(ins, Skip):
+            for s2 in succs:
+                nxt = self._advance(st, idx, fr, s2, g)
+                if nxt is not None:
+                    out.append((nxt, trace))
+        elif isinstance(ins, Assume):
+            alive = isinstance(ins.cond, Nondet) or self._eval_cmp(ins.cond, st.global_env, fr.locals)
+            if alive:
+                self._record_reads(fr.node, st)
+                for s2 in succs:
+                    nxt = self._advance(st, idx, fr, s2, g)
+                    if nxt is not None:
+                        out.append((nxt, trace))
+        elif isinstance(ins, Assert):
+            self._record_reads(fr.node, st)
+            if self.oc.record_assert_values:
+                for v in set(cond_vars(ins.cond)):
+                    value = self._eval(v, st.global_env, fr.locals)
+                    self.assert_values.add((fr.node, v.name, value))
+            if not self._eval_cmp(ins.cond, st.global_env, fr.locals):
+                self.violated.add(ins.uid)
+            new_trace = trace + (fr.node,) if self.oc.record_traces else trace
+            for s2 in succs:
+                nxt = self._advance(st, idx, fr, s2, g)
+                if nxt is not None:
+                    out.append((nxt, new_trace))
+        elif isinstance(ins, Assign):
+            self._record_reads(fr.node, st)
+            value = self._eval(ins.expr, st.global_env, fr.locals)
+            out.extend(self._write_and_advance(st, trace, idx, fr, g, succs, ins.target, value))
+        elif isinstance(ins, Havoc):
+            for value in HAVOC_VALUES:
+                out.extend(self._write_and_advance(st, trace, idx, fr, g, succs, ins.target, value))
+        else:
+            raise TypeError(f"not executable: {ins!r}")
+        return out
+
+    def _write_and_advance(self, st, trace, idx, fr, g, succs, target: VarRef, value: int):
+        updates = {}
+        locals_ = fr.locals
+        if target.is_global:
+            i = self.gidx[target.name]
+            genv = list(st.global_env)
+            genv[i] = value
+            writers = list(st.writers)
+            writers[i] = fr.node
+            updates = {"global_env": tuple(genv), "writers": tuple(writers)}
+        else:
+            locals_ = self._set_local(fr.locals, target.name, value)
+        new_trace = trace + (fr.node,) if self.oc.record_traces else trace
+        out = []
+        for s2 in succs:
+            nxt = self._advance(st, idx, fr, s2, g, locals=locals_, **updates)
+            if nxt is not None:
+                out.append((nxt, new_trace))
+        return out
+
+    def _invocations(self, st: SchedulerState) -> list[SchedulerState]:
+        floor = -1
+        if self.interrupt and st.frames:
+            floor = self.priorities[st.frames[-1].handler]
+        out = []
+        for h_idx, g in enumerate(self.cfgs):
+            if st.budgets[h_idx] == 0:
+                continue
+            if self.interrupt and self.priorities[h_idx] <= floor:
+                continue
+            frame = _Frame(handler=h_idx, node=g.entry, locals=(), loops=())
+            budgets = st.budgets[:h_idx] + (st.budgets[h_idx] - 1,) + st.budgets[h_idx + 1:]
+            frames = st.frames + (frame,)
+            if self.interrupt:
+                priorities = [self.priorities[f.handler] for f in frames]
+                assert priorities == sorted(priorities) and len(set(priorities)) == len(priorities), \
+                    "activation stack must be strictly increasing in priority"
+            out.append(st._replace(frames=self._frames_with(frames), budgets=budgets))
+        return out
+
+    # -- main loop -------------------------------------------------------------
+
     def run(self) -> OracleResult:
         initial_budgets = tuple(self.oc.max_invocations for _ in self.cfgs)
         init = SchedulerState(
@@ -119,6 +344,15 @@ def test_matches_unreduced_at_budget_three():
         seed += 1
 
 
+def test_matches_unreduced_on_four_handlers():
+    # the first programs of the acceptance suite's four-handler sweep (criterion 12)
+    config = OracleConfig(max_invocations=1, unroll=2, track_flows=True,
+                          record_assert_values=True, max_executions=400_000)
+    for seed in FOUR_HANDLER_SEEDS[:5]:
+        p = random_program(random.Random(seed), handler_count=4)
+        _check(p, config, True, enumerate_executions, f"four-handler seed {seed}")
+
+
 def test_matches_unreduced_on_thread_seeds():
     config = OracleConfig(max_invocations=1, unroll=2, track_flows=True,
                           record_assert_values=True, max_executions=400_000)
@@ -143,3 +377,15 @@ def test_state_ceiling_counts_reduced_states():
         _Unreduced(p, config, True).run()
     assert enumerate_executions(p, config) == _Unreduced(
         p, OracleConfig(max_invocations=2, unroll=2), True).run()
+
+
+def test_explored_state_counts_are_pinned():
+    # counts measured with the NamedTuple-state enumerator these replace
+    p = load_corpus("three_priorities")
+    enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2, max_states=900))
+    with pytest.raises(OracleLimitError):
+        enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2, max_states=899))
+    p = load_corpus("loop_store_overwrite")
+    thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_784))
+    with pytest.raises(OracleLimitError):
+        thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_783))
