@@ -14,8 +14,10 @@ The rules combine two derived relations with one predicate:
   path, so s's value is overwritten before the handler returns.
 * ``NoPreempt(s1, s2)``: s1's handler can never interleave into s2's,
   because s2's priority is at least s1's (equal priorities never preempt).
-  The rules evaluate it per pair of handlers; only ``dump_facts`` expands it
-  into the node-pair relation, through ``no_preempt``.
+  It depends only on the two handlers, so it is evaluated per pair of
+  handlers from the one handler -> priority map; ``dump_facts`` prints it as
+  the cross product of the two handlers' nodes, and ``no_preempt`` expands it
+  into node pairs for callers that want the relation as a set.
 
 Dominance and post-dominance are one bitmask per node; the two overwrite
 rules test masks, and only ``dump_facts`` expands them, via ``dominance_pairs``.
@@ -45,9 +47,9 @@ from .ir import Program
 class FactBase:
     """Ground facts extracted from one program's handlers."""
 
-    dom: dict[NodeId, int]
+    dom: dict[NodeId, int]  # every node of every handler -> its dominator mask
     postdom: dict[NodeId, int]
-    pri: dict[NodeId, int]
+    priority: dict[str, int]  # handler name -> priority; a node's Pri is its handler's
     load: frozenset[tuple[NodeId, str]]
     store: frozenset[tuple[NodeId, str]]
 
@@ -65,19 +67,15 @@ def extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) ->
     """Union of per-handler facts; dominance never crosses handler boundaries."""
     dom: dict[NodeId, int] = {}
     postdom: dict[NodeId, int] = {}
-    pri: dict[NodeId, int] = {}
     load: set[tuple[NodeId, str]] = set()
     store: set[tuple[NodeId, str]] = set()
-    priorities = {h.name: h.priority for h in program.handlers}
     for g, info in zip(cfgs, infos):
         dom.update(dominators(g))
         postdom.update(post_dominators(g))
-        p = priorities[g.handler]
-        for n in g.nodes:
-            pri[n] = p
         load |= info.loads
         store |= info.stores
-    return FactBase(dom=dom, postdom=postdom, pri=pri,
+    return FactBase(dom=dom, postdom=postdom,
+                    priority={h.name: h.priority for h in program.handlers},
                     load=frozenset(load), store=frozenset(store))
 
 
@@ -86,16 +84,10 @@ def _cannot_preempt(priority: dict[str, int], h1: str, h2: str) -> bool:
     return h1 != h2 and priority[h2] >= priority[h1]
 
 
-def _priorities(fb: FactBase) -> dict[str, int]:
-    """Handler name to priority, read off the per-node Pri facts."""
-    return {n.handler: p for n, p in fb.pri.items()}
-
-
 def no_preempt(fb: FactBase) -> frozenset[tuple[NodeId, NodeId]]:
-    """The NoPreempt relation expanded over all node pairs, for the facts dump."""
-    priority = _priorities(fb)
-    return frozenset((s1, s2) for s1 in fb.pri for s2 in fb.pri
-                     if _cannot_preempt(priority, s1.handler, s2.handler))
+    """The NoPreempt relation expanded over all node pairs."""
+    return frozenset((s1, s2) for s1 in fb.dom for s2 in fb.dom
+                     if _cannot_preempt(fb.priority, s1.handler, s2.handler))
 
 
 def _overwritten(fb: FactBase, sites: frozenset, masks: dict[NodeId, int]) -> frozenset:
@@ -153,7 +145,6 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
     """
     covered = covered_loads(fb)
     intercepted = intercepted_stores(fb)
-    priority = _priorities(fb)
     load_classes = Counter((v, l.handler, (l, v) in covered) for l, v in fb.load)
     store_classes: dict[str, Counter] = {}
     for s, v in fb.store:
@@ -164,12 +155,12 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
             if lh == sh:
                 continue
             total += n_loads * n_stores
-            if rejects(priority, lh, is_covered, sh, is_intercepted):
+            if rejects(fb.priority, lh, is_covered, sh, is_intercepted):
                 pruned += n_loads * n_stores
     return FeasibilityResult(
         covered_load=covered,
         intercepted_store=intercepted,
-        priority=priority,
+        priority=fb.priority,
         pairs_total=total,
         pairs_pruned=pruned,
     )
@@ -185,15 +176,40 @@ def rejected_pairs(fb: FactBase, result: FeasibilityResult) -> frozenset[tuple[N
 
 
 def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
-    """One `REL(arg, ...)` tuple per line, sorted lexicographically."""
-    lines: list[str] = []
-    lines += [f"Dom({a}, {b})" for a, b in dominance_pairs(fb.dom)]
-    lines += [f"PostDom({a}, {b})" for a, b in dominance_pairs(fb.postdom)]
-    lines += [f"Pri({n}, {p})" for n, p in fb.pri.items()]
-    lines += [f"Load({n}, {v})" for n, v in fb.load]
-    lines += [f"Store({n}, {v})" for n, v in fb.store]
-    lines += [f"NoPreempt({a}, {b})" for a, b in no_preempt(fb)]
-    lines += [f"CoveredLoad({n}, {v})" for n, v in result.covered_load]
-    lines += [f"InterceptedStore({n}, {v})" for n, v in result.intercepted_store]
-    lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in rejected_pairs(fb, result)]
-    return sorted(lines)
+    """One `REL(arg, ...)` tuple per line, sorted lexicographically.
+
+    Each node is formatted once. Each relation is one block, sorted on its
+    own, and the blocks follow in relation-name order: every line starts with
+    `Name(` and no name is a prefix of another, so this is the order of one
+    global sort. The sort inside a block stays, because string order is not
+    (handler, index) order: `a1:0` sorts before `a:0`, and `h:10` before `h:2`.
+    NoPreempt is decided once per ordered pair of handlers.
+    """
+    name = {n: str(n) for n in fb.dom}
+    # Node names by handler, each group sorted and the groups in the order of
+    # `handler:`. No handler name holds a colon, so this is the sorted order of
+    # all node names, and the NoPreempt block is built already sorted.
+    names_of: dict[str, list[str]] = {}
+    for n, text in name.items():
+        names_of.setdefault(n.handler, []).append(text)
+    handlers = sorted(names_of, key=lambda h: h + ":")
+    for h in handlers:
+        names_of[h].sort()
+    shielded = {h1: [b for h2 in handlers if _cannot_preempt(fb.priority, h1, h2)
+                     for b in names_of[h2]]
+                for h1 in handlers}
+    blocks = {
+        "Dom": [f"Dom({name[a]}, {name[b]})" for a, b in dominance_pairs(fb.dom)],
+        "PostDom": [f"PostDom({name[a]}, {name[b]})" for a, b in dominance_pairs(fb.postdom)],
+        "Pri": [f"Pri({name[n]}, {fb.priority[n.handler]})" for n in fb.dom],
+        "Load": [f"Load({name[n]}, {v})" for n, v in fb.load],
+        "Store": [f"Store({name[n]}, {v})" for n, v in fb.store],
+        "NoPreempt": [f"NoPreempt({a}, {b})" for h1 in handlers
+                      for a in names_of[h1] for b in shielded[h1]],
+        "CoveredLoad": [f"CoveredLoad({name[n]}, {v})" for n, v in result.covered_load],
+        "InterceptedStore": [f"InterceptedStore({name[n]}, {v})"
+                             for n, v in result.intercepted_store],
+        "MustNotReadFrom": [f"MustNotReadFrom({name[l]}, {name[s]}, {v})"
+                            for l, s, v in rejected_pairs(fb, result)],
+    }
+    return [line for rel in sorted(blocks) for line in sorted(blocks[rel])]

@@ -12,10 +12,11 @@ from irqverify import (
     parse_program,
     rejected_pairs,
 )
+from irqverify import feasibility
 from irqverify.cfg import build_all, dominance_pairs
 from irqverify.cli import main
 from irqverify.feasibility import cross_pairs, dump_facts
-from irqverify.ir import Assert, Assign, Handler
+from irqverify.ir import Assert, Assign, Handler, format_program
 
 from conftest import corpus_path, load_corpus
 from progen import random_program
@@ -53,10 +54,11 @@ def assert_node_of(cfgs, handler):
 def test_priorities_attach_to_every_node_of_a_handler():
     fb, cfgs = facts_of(load_corpus("three_priorities"))
     want = {"irq_H": 2, "irq_L": 0, "irq_M": 1}
-    for node, pri in fb.pri.items():
-        assert pri == want[node.handler]
-    for g in cfgs:
-        assert {fb.pri[n] for n in g.nodes} == {want[g.handler]}
+    assert fb.priority == want
+    result = must_not_read_from(fb)
+    assert result.priority is fb.priority
+    pri_lines = [line for line in dump_facts(fb, result) if line.startswith("Pri(")]
+    assert sorted(pri_lines) == sorted(f"Pri({n}, {want[g.handler]})" for g in cfgs for n in g.nodes)
 
 
 def test_dominance_facts_never_cross_handlers():
@@ -83,7 +85,8 @@ def test_load_store_facts_loop_program():
 
 def test_no_preempt_orientation():
     fb, cfgs = facts_of(load_corpus("three_priorities"))
-    by_handler = {h: [n for n in fb.pri if n.handler == h] for h in ("irq_H", "irq_L", "irq_M")}
+    by_handler = {g.handler: g.nodes for g in cfgs}
+    assert set(by_handler) == {"irq_H", "irq_L", "irq_M"}
     np = no_preempt(fb)
     # the low handler can never preempt the medium one...
     for a in by_handler["irq_L"]:
@@ -107,9 +110,9 @@ def test_no_preempt_equal_priorities_is_symmetric_and_total():
         "handler b priority 1 { x = 2; }"
         "handler c priority 1 { x = 3; }"
     )
-    fb, _ = facts_of(p)
+    fb, cfgs = facts_of(p)
     np = no_preempt(fb)
-    nodes = sorted(fb.pri)
+    nodes = sorted(n for g in cfgs for n in g.nodes)
     for a in nodes:
         for b in nodes:
             if a.handler != b.handler:
@@ -120,12 +123,12 @@ def test_no_preempt_monotone_under_handler_addition():
     for seed in range(40):
         rng = random.Random(seed)
         p = random_program(rng)
-        fb, _ = facts_of(p)
+        fb, cfgs = facts_of(p)
         base = no_preempt(fb)
         extra = Handler("zz_extra", rng.randint(0, 3), ())
         grown = p.__class__(p.globals, p.handlers + (extra,))
         fb2, _ = facts_of(grown)
-        old_nodes = set(fb.pri)
+        old_nodes = {n for g in cfgs for n in g.nodes}
         restricted = {(a, b) for (a, b) in no_preempt(fb2) if a in old_nodes and b in old_nodes}
         assert base <= restricted
 
@@ -287,6 +290,43 @@ def test_facts_runs_no_fixpoint(monkeypatch, capsys):
     monkeypatch.setattr("irqverify.analyzer.analyze_local", no_fixpoint)
     assert main(["facts", str(corpus_path("three_priorities"))]) == 0
     assert "MustNotReadFrom(" in capsys.readouterr().out
+
+
+def test_facts_decides_no_preempt_per_handler_pair(monkeypatch, capsys, tmp_path):
+    """The facts run evaluates the priority rule at most once per ordered handler pair.
+
+    Calls made inside `rejects` are left out of the count: the rejection
+    rules consult the priority rule per class and per cross pair, and are
+    bounded by those, not by the node pairs NoPreempt prints.
+    """
+    eight = tmp_path / "eight.irq"
+    eight.write_text(format_program(random_program(random.Random(3), handler_count=8)))
+    real_cannot_preempt, real_rejects = feasibility._cannot_preempt, feasibility.rejects
+    in_rejects = calls = 0
+
+    def counting_cannot_preempt(*args):
+        nonlocal calls
+        calls += in_rejects == 0
+        return real_cannot_preempt(*args)
+
+    def marking_rejects(*args):
+        nonlocal in_rejects
+        in_rejects += 1
+        try:
+            return real_rejects(*args)
+        finally:
+            in_rejects -= 1
+
+    for path, handlers in ((corpus_path("three_priorities"), 3), (eight, 8)):
+        assert main(["facts", str(path)]) == 0
+        want = capsys.readouterr().out
+        with monkeypatch.context() as m:
+            m.setattr(feasibility, "_cannot_preempt", counting_cannot_preempt)
+            m.setattr(feasibility, "rejects", marking_rejects)
+            calls = 0
+            assert main(["facts", str(path)]) == 0
+        assert capsys.readouterr().out == want
+        assert 0 < calls <= handlers ** 2, (path, calls)
 
 
 def test_pairs_total_counts_cross_pairs():

@@ -28,7 +28,7 @@ from progen import random_program
 
 def reference_cannot_preempt(fb: FactBase, s1: NodeId, s2: NodeId) -> bool:
     """NoPreempt(s1, s2): cross-handler and pri(s2) >= pri(s1)."""
-    return s1.handler != s2.handler and fb.pri[s2] >= fb.pri[s1]
+    return s1.handler != s2.handler and fb.priority[s2.handler] >= fb.priority[s1.handler]
 
 
 def reference_cross_pairs(fb: FactBase) -> frozenset[tuple[NodeId, NodeId, str]]:
