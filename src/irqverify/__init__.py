@@ -17,6 +17,7 @@ from .analyzer import (
     analyze_local,
     analyze_program,
     collect_interferences,
+    plan_handler,
 )
 from .cfg import AccessInfo, Cfg, NodeId, access_info, build_cfg, dominators, post_dominators
 from .domain import AbstractState, Interval, Verdict, check_assert, join, leq, transfer, widen
@@ -82,6 +83,7 @@ __all__ = [
     "no_preempt",
     "parse_file",
     "parse_program",
+    "plan_handler",
     "post_dominators",
     "rejected_pairs",
     "thread_enumerate",

@@ -1,14 +1,23 @@
 """Iterative modular analysis of a whole program, one handler at a time.
 
 Each round analyzes every handler in isolation against the interference
-environment collected from the previous round: the set of (store node,
-written interval) pairs of every *other* handler, per global variable. At
-every node that reads a global, the incoming state's value for that variable
-is joined with the values of all interfering stores, minus the pairs the
-feasibility analysis rejected, which is where priority awareness enters.
-Rounds repeat until the per-node state map stops changing; after the
-configured number of rounds the merge switches from join to widening so the
-outer loop always terminates.
+environment collected from the previous round. A handler's interference is
+one interval hull per store class (variable, intercepted): the join of the
+values its reachable stores of that variable write, as in Miné's
+interference abstraction for prioritized tasks (LMCS 2012). The rejection
+rules see a load only through its class (variable, covered) and a store only
+through its class, so each load class admits the join of the other handlers'
+class hulls that `feasibility.rejects` does not reject; that is where
+priority awareness enters. At every node that reads a global, the incoming
+state's value for that variable is joined with its load class's admitted
+hull. Rounds repeat until no node state changes; after the configured number
+of rounds the merge switches from join to widening so the outer loop always
+terminates.
+
+Each handler is flattened once per `analyze` call into a `HandlerPlan`:
+predecessor and successor indices, loop heads, instructions, and each node's
+load and store classes. Node states live in per-handler lists indexed like
+the plan, and the `node_states` map is built once at the end.
 
 Handler entry states start from the declared global initializers joined with
 every handler's exit state from the previous round (projected onto the
@@ -33,15 +42,15 @@ from .domain import (
     Verdict,
     check_assert,
     join,
-    leq,
     transfer,
     widen,
 )
 from .feasibility import FactBase, FeasibilityResult, extract_facts, must_not_read_from, rejects
-from .ir import Assert, Program
+from .ir import Assert, Instr, Program
 
-#: Per-variable interference: ordered (store node, written value) pairs.
-InterferenceMap = dict[str, tuple[tuple[NodeId, Interval], ...]]
+#: One handler's interference: the hull of the values its reachable stores
+#: write, per store class (variable, intercepted).
+ClassHulls = dict[tuple[str, bool], Interval]
 
 NodeStates = dict[NodeId, AbstractState]
 
@@ -109,132 +118,159 @@ class AnalysisResult:
     cfgs: list[Cfg] = field(default_factory=list)
 
 
-def _admitted(g: Cfg, interference: InterferenceMap,
-              feasibility: FeasibilityResult | None) -> dict[NodeId, tuple[tuple[str, Interval], ...]]:
-    """Per node of g, each global it reads with the join of the values it admits.
+@dataclass(frozen=True)
+class HandlerPlan:
+    """One handler's graph as node indices, with each node's access classes.
 
-    The rules see a load only through its class (handler, covered), and the
-    interference is fixed for one `analyze_local` call, so the admitted hull
-    is computed once per (variable, covered flag). Interval join is an exact,
-    commutative hull, so entry order does not matter. Variables with no
-    admitted store are left out.
+    Built once per `analyze` call. Index i is the node `nodes[i]`. A read is
+    kept as its load class (variable, covered) and a store as its store class
+    (variable, intercepted), because the rejection rules see nothing else of
+    either. With pruning off every flag is False and `priority` is None, so
+    every class is admitted.
     """
-    hulls: dict[tuple[str, bool], Interval | None] = {}
-    out: dict[NodeId, tuple[tuple[str, Interval], ...]] = {}
-    for n in g.nodes:
-        joins = []
-        for name in node_global_reads(g.instr[n]):
-            covered = feasibility is not None and (n, name) in feasibility.covered_load
-            if (name, covered) not in hulls:
-                incoming = None
-                for store_node, value in interference.get(name, ()):
-                    if feasibility is not None and rejects(
-                            feasibility.priority, g.handler, covered, store_node.handler,
-                            (store_node, name) in feasibility.intercepted_store):
-                        continue
-                    incoming = value if incoming is None else incoming.join(value)
-                hulls[name, covered] = incoming
-            if hulls[name, covered] is not None:
-                joins.append((name, hulls[name, covered]))
-        if joins:
-            out[n] = tuple(joins)
-    return out
+
+    handler: str
+    nodes: tuple[NodeId, ...]
+    instr: tuple[Instr, ...]
+    preds: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[int, ...], ...]
+    loop_head: tuple[bool, ...]
+    reads: tuple[tuple[tuple[str, bool], ...], ...]  # per node, its load classes
+    stores: tuple[tuple[int, tuple[str, bool]], ...]  # (store node, its store class)
+    load_classes: tuple[tuple[str, bool], ...]  # every load class of the handler, once
+    priority: dict[str, int] | None  # handler -> priority; None when pruning is off
+    entry: int
+    exit: int
 
 
-def _node_output(g: Cfg, n: NodeId, pre: AbstractState,
-                 admitted: dict[NodeId, tuple[tuple[str, Interval], ...]]) -> AbstractState:
-    """Apply node n to its incoming state, joining admitted interference at its reads."""
-    if pre.is_bottom:
-        return pre
-    s = pre
-    for name, incoming in admitted.get(n, ()):
-        s = s.set(name, s.get(name).join(incoming))
-    return transfer(g.instr[n], s)
+def plan_handler(g: Cfg, feasibility: FeasibilityResult | None) -> HandlerPlan:
+    """Flatten g and classify its global reads and writes; `feasibility` None disables pruning."""
+    index = {n: i for i, n in enumerate(g.nodes)}
+    reads = []
+    stores = []
+    for i, n in enumerate(g.nodes):
+        ins = g.instr[n]
+        reads.append(tuple((name, feasibility is not None and (n, name) in feasibility.covered_load)
+                           for name in node_global_reads(ins)))
+        name = node_global_write(ins)
+        if name is not None:
+            stores.append((i, (name, feasibility is not None
+                               and (n, name) in feasibility.intercepted_store)))
+    return HandlerPlan(
+        handler=g.handler,
+        nodes=g.nodes,
+        instr=tuple(g.instr[n] for n in g.nodes),
+        preds=tuple(tuple(index[p] for p in g.preds[n]) for n in g.nodes),
+        succs=tuple(tuple(index[s] for s in g.succs[n]) for n in g.nodes),
+        loop_head=tuple(n in g.loop_heads for n in g.nodes),
+        reads=tuple(reads),
+        stores=tuple(stores),
+        load_classes=tuple(dict.fromkeys(cls for node_reads in reads for cls in node_reads)),
+        priority=feasibility.priority if feasibility is not None else None,
+        entry=index[g.entry],
+        exit=index[g.exit],
+    )
 
 
-def analyze_local(g: Cfg, interference: InterferenceMap,
-                  feasibility: FeasibilityResult | None,
+def analyze_local(plan: HandlerPlan, interference: dict[str, ClassHulls],
                   config: AnalysisConfig,
-                  entry_state: AbstractState | None = None) -> NodeStates:
+                  entry_state: AbstractState | None = None) -> list[AbstractState]:
     """Worklist fixpoint over one handler with a fixed interference environment.
 
-    `feasibility` of None disables pruning: every interfering store is joined
-    at every read of its variable. Widening engages at loop heads after
-    `config.widen_delay` growths, and one descending pass afterwards recovers
-    bounds the widening overshot. Deterministic: FIFO worklist seeded with the
-    entry, successors in node order.
+    `interference` maps each handler to its store-class hulls; the plan's own
+    handler is skipped. Each load class admits the join of the other handlers'
+    class hulls that `rejects` does not reject, and every read of that class
+    joins it into the incoming state (interval join is an exact, commutative
+    hull, so this equals joining the admitted stores one by one). Widening
+    engages at loop heads after `config.widen_delay` growths, and one
+    descending pass afterwards recovers bounds the widening overshot.
+    Deterministic: FIFO worklist seeded with the entry, successors in node
+    order. Returns the state after each node, by node index.
     """
-    admitted = _admitted(g, interference, feasibility)
+    priority = plan.priority
+    admitted: dict[tuple[str, bool], Interval] = {}
+    for name, covered in plan.load_classes:
+        hull = None
+        for store_handler, hulls in interference.items():
+            if store_handler == plan.handler:
+                continue
+            for intercepted in (False, True):
+                iv = hulls.get((name, intercepted))
+                if iv is None or priority is not None and rejects(
+                        priority, plan.handler, covered, store_handler, intercepted):
+                    continue
+                hull = iv if hull is None else hull.join(iv)
+        if hull is not None:
+            admitted[name, covered] = hull
+    joins = [tuple((cls[0], admitted[cls]) for cls in node_reads if cls in admitted)
+             for node_reads in plan.reads]
+    instr = plan.instr
+    preds = plan.preds
+    entry_index = plan.entry
     entry = entry_state if entry_state is not None else AbstractState.top()
-    post: NodeStates = {n: AbstractState.bottom() for n in g.nodes}
-    growths: dict[NodeId, int] = {}
+    bottom = AbstractState.bottom()
 
-    pending = deque([g.entry])
-    queued = {g.entry}
+    def output(i: int) -> AbstractState:
+        """The state after node i, from its predecessors' current states."""
+        if i == entry_index:
+            s = entry
+        else:
+            ps = preds[i]  # every node but the entry has one
+            s = post[ps[0]]
+            for p in ps[1:]:
+                s = join(s, post[p])
+        if s.is_bottom:
+            return s
+        for name, incoming in joins[i]:
+            s = s.set(name, s.get(name).join(incoming))
+        return transfer(instr[i], s)
+
+    post = [bottom] * len(plan.nodes)
+    growths = [0] * len(plan.nodes)
+    queued = [False] * len(plan.nodes)
+    pending = deque([plan.entry])
+    queued[plan.entry] = True
     while pending:
-        n = pending.popleft()
-        queued.discard(n)
-        if n == g.entry:
-            pre = entry
-        else:
-            pre = AbstractState.bottom()
-            for p in g.preds[n]:
-                pre = join(pre, post[p])
-        out = _node_output(g, n, pre, admitted)
-        if n in g.loop_heads:
-            growths[n] = growths.get(n, 0)
-            if not leq(out, post[n]):
-                growths[n] += 1
-            if growths[n] > config.widen_delay:
-                out = widen(post[n], join(post[n], out))
-            else:
-                out = join(post[n], out)
-        else:
-            out = join(post[n], out)
-        if out != post[n]:
-            post[n] = out
-            for s in g.succs[n]:
-                if s not in queued:
-                    pending.append(s)
-                    queued.add(s)
+        i = pending.popleft()
+        queued[i] = False
+        old = post[i]
+        out = join(old, output(i))
+        if out is old:
+            # The output adds nothing (join returns `old` exactly then): no
+            # growth, and widening `old` by itself would not change it.
+            continue
+        if plan.loop_head[i]:
+            growths[i] += 1
+            if growths[i] > config.widen_delay:
+                out = widen(old, out)
+        post[i] = out
+        for s in plan.succs[i]:
+            if not queued[s]:
+                pending.append(s)
+                queued[s] = True
 
     # One descending pass: recompute every node from its predecessors without
     # widening. Starting from a post-fixpoint this only tightens bounds.
-    for n in g.nodes:
-        if n == g.entry:
-            pre = entry
-        else:
-            pre = AbstractState.bottom()
-            for p in g.preds[n]:
-                pre = join(pre, post[p])
-        post[n] = _node_output(g, n, pre, admitted)
+    for i in range(len(post)):
+        post[i] = output(i)
     return post
 
 
-def collect_interferences(g: Cfg, states: NodeStates) -> InterferenceMap:
-    """(store node, stored value) pairs per global written by this handler.
+def collect_interferences(plan: HandlerPlan, states: list[AbstractState]) -> ClassHulls:
+    """One interval hull per store class (variable, intercepted) of this handler.
 
-    The value is the written variable's interval in the state after the store.
-    Stores whose state is bottom are unreachable and contribute nothing.
+    A store contributes the written variable's interval in the state after
+    it. Stores whose state is bottom are unreachable and contribute nothing;
+    a class with no reachable store is absent.
     """
-    out: dict[str, list[tuple[NodeId, Interval]]] = {}
-    for n in g.nodes:
-        name = node_global_write(g.instr[n])
-        if name is None:
-            continue
-        state = states.get(n, AbstractState.bottom())
+    out: ClassHulls = {}
+    for i, cls in plan.stores:
+        state = states[i]
         if state.is_bottom:
             continue
-        out.setdefault(name, []).append((n, state.get(name)))
-    return {name: tuple(sorted(pairs, key=lambda p: p[0])) for name, pairs in sorted(out.items())}
-
-
-def _merge_interferences(maps: list[InterferenceMap]) -> InterferenceMap:
-    merged: dict[str, list[tuple[NodeId, Interval]]] = {}
-    for m in maps:
-        for name, pairs in m.items():
-            merged.setdefault(name, []).extend(pairs)
-    return {name: tuple(sorted(pairs, key=lambda p: p[0])) for name, pairs in sorted(merged.items())}
+        value = state.get(cls[0])
+        out[cls] = value if cls not in out else out[cls].join(value)
+    return out
 
 
 def prepare(program: Program) -> tuple[list[Cfg], FactBase, FeasibilityResult]:
@@ -258,45 +294,47 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
     global_names = program.global_names()
     init_state = AbstractState({name: Interval.const(value) for name, value in program.globals})
 
-    states: NodeStates = {n: AbstractState.bottom() for g in cfgs for n in g.nodes}
+    plans = [plan_handler(g, feas_active) for g in cfgs]
+    bottom = AbstractState.bottom()
+    states = [[bottom] * len(plan.nodes) for plan in plans]
     iterations = 0
-    while True:
+    changed = True
+    while changed:
         iterations += 1
-        prev = dict(states)
-        exit_join = AbstractState.bottom()
-        for g in cfgs:
-            exit_join = join(exit_join, prev[g.exit].restrict(global_names))
+        changed = False
+        # Entry state and interference come from the previous round's states:
+        # both are taken before any handler of this round updates its list.
+        exit_join = bottom
+        for plan, post in zip(plans, states):
+            exit_join = join(exit_join, post[plan.exit].restrict(global_names))
         entry_state = join(init_state, exit_join)
 
-        per_handler = {g.handler: collect_interferences(g, prev) for g in cfgs}
-        for g in cfgs:
-            interference = _merge_interferences(
-                [m for name, m in per_handler.items() if name != g.handler])
-            local = analyze_local(g, interference, feas_active, config, entry_state)
-            for n, state in local.items():
-                if iterations > config.max_outer:
-                    states[n] = widen(states[n], join(states[n], state))
-                else:
-                    states[n] = join(states[n], state)
-        if states == prev:
-            break
+        interference = {plan.handler: collect_interferences(plan, post)
+                        for plan, post in zip(plans, states)}
+        for plan, post in zip(plans, states):
+            local = analyze_local(plan, interference, config, entry_state)
+            for i, state in enumerate(local):
+                old = post[i]
+                new = join(old, state)
+                if new is old:  # nothing new, so widening would not change it either
+                    continue
+                post[i] = widen(old, new) if iterations > config.max_outer else new
+                changed = True
 
     verdicts: list[VerdictEntry] = []
-    for g in cfgs:
-        for n in g.nodes:
-            ins = g.instr[n]
+    interference_sizes = {name: 0 for name in global_names}
+    for plan, post in zip(plans, states):
+        for ins, state in zip(plan.instr, post):
             if isinstance(ins, Assert):
-                v = check_assert(ins.cond, states[n])
+                v = check_assert(ins.cond, state)
                 verdicts.append(VerdictEntry(
                     assertion_id=ins.uid,
-                    handler=g.handler,
+                    handler=plan.handler,
                     verdict="Proved" if v is Verdict.PROVED else "Warning",
                 ))
-
-    interference_sizes = {name: 0 for name in global_names}
-    for g in cfgs:
-        for name, pairs in collect_interferences(g, states).items():
-            interference_sizes[name] += len(pairs)
+        for i, (name, _intercepted) in plan.stores:
+            if not post[i].is_bottom:
+                interference_sizes[name] += 1
 
     report = AnalysisReport(
         verdicts=tuple(verdicts),
@@ -306,7 +344,9 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
         pairs_pruned=feas.pairs_pruned,
         pruning_enabled=config.pruning,
     )
-    return AnalysisResult(report=report, node_states=states, facts=facts,
+    node_states: NodeStates = {n: state for plan, post in zip(plans, states)
+                               for n, state in zip(plan.nodes, post)}
+    return AnalysisResult(report=report, node_states=node_states, facts=facts,
                           feasibility=feas, cfgs=cfgs)
 
 

@@ -79,6 +79,10 @@ class Interval:
             return self
         lo = None if self.lo is None or other.lo is None else min(self.lo, other.lo)
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
+        if lo == self.lo and hi == self.hi:
+            return self
+        if lo == other.lo and hi == other.hi:
+            return other
         return Interval(lo, hi)
 
     def meet(self, other: "Interval") -> "Interval":
@@ -194,17 +198,32 @@ class AbstractState:
             return BOTTOM
         return self._bindings.get(name, TOP)
 
+    @classmethod
+    def _clean(cls, bindings: dict[str, Interval]) -> "AbstractState":
+        """A state over bindings already free of empty and top intervals."""
+        s = object.__new__(cls)
+        s._bindings = bindings
+        s._bottom = False
+        return s
+
     def set(self, name: str, iv: Interval) -> "AbstractState":
+        """This state with `name` bound to `iv`; `self` when the binding is unchanged."""
         if self._bottom:
             return self
         if iv.empty:
             return AbstractState.bottom()
-        new = dict(self._bindings)
+        current = self._bindings.get(name)
         if iv.is_top():
-            new.pop(name, None)
+            if current is None:
+                return self
+            new = dict(self._bindings)
+            del new[name]
         else:
+            if current is iv or current == iv:
+                return self
+            new = dict(self._bindings)
             new[name] = iv
-        return AbstractState(new)
+        return AbstractState._clean(new)
 
     def restrict(self, names: Iterable[str]) -> "AbstractState":
         """Forget every variable outside `names` (projection onto globals)."""
@@ -232,13 +251,31 @@ class AbstractState:
 
 
 def join(a: AbstractState, b: AbstractState) -> AbstractState:
-    """Pointwise least upper bound; bottom is the identity."""
-    if a.is_bottom:
-        return b
-    if b.is_bottom:
+    """Pointwise least upper bound; bottom is the identity.
+
+    Returns `a` itself, without allocating, when `b` adds nothing to it
+    (`leq(b, a)`), so callers can test for change by identity first.
+    """
+    if b._bottom or a is b:
         return a
-    keys = a._bindings.keys() & b._bindings.keys()
-    return AbstractState({k: a._bindings[k].join(b._bindings[k]) for k in keys})
+    if a._bottom:
+        return b
+    others = b._bindings
+    for k, iv in a._bindings.items():
+        other = others.get(k)
+        if other is not iv and (other is None or iv.join(other) is not iv):
+            break
+    else:
+        return a
+    out: dict[str, Interval] = {}
+    for k, iv in a._bindings.items():
+        other = others.get(k)
+        if other is None:
+            continue
+        hull = iv if other is iv else iv.join(other)
+        if hull.lo is not None or hull.hi is not None:
+            out[k] = hull
+    return AbstractState._clean(out)
 
 
 def leq(a: AbstractState, b: AbstractState) -> bool:

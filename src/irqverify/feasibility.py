@@ -20,7 +20,8 @@ The rules combine two derived relations with one predicate:
   into node pairs for callers that want the relation as a set.
 
 Dominance and post-dominance are one bitmask per node; the two overwrite
-rules test masks, and only ``dump_facts`` expands them, via ``dominance_pairs``.
+rules test masks, and only ``dump_facts`` expands them, reading each mask's
+bits through a per-handler index -> node name list.
 
 A cross-handler pair (load l, store s) of the same variable is rejected when
 (1) l is covered and s is intercepted, (2) l is covered and s's handler cannot
@@ -28,18 +29,21 @@ preempt l's, or (3) s is intercepted and l's handler cannot preempt s's. The
 rules see a load only through its class (handler, covered) and a store only
 through its class (handler, intercepted), so ``rejects`` decides whole
 classes at once: ``must_not_read_from`` counts the pairs per (variable, load
-class, store class) instead of enumerating them, and the analysis joins the
-interference admitted by each class once. Only ``rejected_pairs`` expands the
-relation into (load, store, variable) triples, for the facts dump. All rules
-are non-recursive; no fixpoint or external solver is involved.
+class, store class) instead of enumerating them, and the analysis joins, per
+load class, the hulls of the store classes it admits. The facts dump and
+``rejected_pairs`` group loads and stores into their classes, decide each pair
+of classes once and expand only the rejected ones into (load, store, variable)
+lines or triples. All rules are non-recursive; no fixpoint or external solver
+is involved.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .cfg import AccessInfo, Cfg, NodeId, dominance_pairs, dominators, post_dominators
+from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
 from .ir import Program
 
 
@@ -166,13 +170,30 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
     )
 
 
+def _rejected_classes(fb: FactBase, result: FeasibilityResult
+                      ) -> Iterator[tuple[str, list[NodeId], list[NodeId]]]:
+    """(variable, loads, stores) for every (load class, store class) pair `rejects` rejects.
+
+    Loads are grouped by (variable, handler, covered) and stores by (variable,
+    handler, intercepted), and the rules run once per pair of classes; every
+    pair of the two node lists is then in MustNotReadFrom.
+    """
+    loads: dict[tuple[str, str, bool], list[NodeId]] = {}
+    for l, v in fb.load:
+        loads.setdefault((v, l.handler, (l, v) in result.covered_load), []).append(l)
+    stores: dict[str, dict[tuple[str, bool], list[NodeId]]] = {}
+    for s, v in fb.store:
+        stores.setdefault(v, {}).setdefault((s.handler, (s, v) in result.intercepted_store), []).append(s)
+    for (v, lh, covered), load_nodes in loads.items():
+        for (sh, intercepted), store_nodes in stores.get(v, {}).items():
+            if rejects(result.priority, lh, covered, sh, intercepted):
+                yield v, load_nodes, store_nodes
+
+
 def rejected_pairs(fb: FactBase, result: FeasibilityResult) -> frozenset[tuple[NodeId, NodeId, str]]:
-    """The MustNotReadFrom relation expanded over the cross pairs, for the facts dump."""
-    return frozenset(
-        (l, s, v) for l, s, v in cross_pairs(fb)
-        if rejects(result.priority, l.handler, (l, v) in result.covered_load,
-                   s.handler, (s, v) in result.intercepted_store)
-    )
+    """The MustNotReadFrom relation expanded into (load, store, variable) triples."""
+    return frozenset((l, s, v) for v, loads, stores in _rejected_classes(fb, result)
+                     for l in loads for s in stores)
 
 
 def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
@@ -198,9 +219,24 @@ def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
     shielded = {h1: [b for h2 in handlers if _cannot_preempt(fb.priority, h1, h2)
                      for b in names_of[h2]]
                 for h1 in handlers}
+    # Node names by handler and index, for reading dominance masks bit by bit.
+    at_index: dict[str, list[str]] = {h: [""] * len(texts) for h, texts in names_of.items()}
+    for n, text in name.items():
+        at_index[n.handler][n.index] = text
+
+    def dominance_lines(rel: str, masks: dict[NodeId, int]) -> list[str]:
+        lines = []
+        for b, mask in masks.items():
+            names, b_name = at_index[b.handler], name[b]
+            while mask:
+                low = mask & -mask
+                lines.append(f"{rel}({names[low.bit_length() - 1]}, {b_name})")
+                mask ^= low
+        return lines
+
     blocks = {
-        "Dom": [f"Dom({name[a]}, {name[b]})" for a, b in dominance_pairs(fb.dom)],
-        "PostDom": [f"PostDom({name[a]}, {name[b]})" for a, b in dominance_pairs(fb.postdom)],
+        "Dom": dominance_lines("Dom", fb.dom),
+        "PostDom": dominance_lines("PostDom", fb.postdom),
         "Pri": [f"Pri({name[n]}, {fb.priority[n.handler]})" for n in fb.dom],
         "Load": [f"Load({name[n]}, {v})" for n, v in fb.load],
         "Store": [f"Store({name[n]}, {v})" for n, v in fb.store],
@@ -210,6 +246,7 @@ def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
         "InterceptedStore": [f"InterceptedStore({name[n]}, {v})"
                              for n, v in result.intercepted_store],
         "MustNotReadFrom": [f"MustNotReadFrom({name[l]}, {name[s]}, {v})"
-                            for l, s, v in rejected_pairs(fb, result)],
+                            for v, loads, stores in _rejected_classes(fb, result)
+                            for l in loads for s in stores],
     }
     return [line for rel in sorted(blocks) for line in sorted(blocks[rel])]

@@ -15,7 +15,7 @@ from irqverify import (
     leq,
     parse_program,
 )
-from irqverify.analyzer import assert_nodes
+from irqverify.analyzer import assert_nodes, plan_handler
 from irqverify.cfg import NodeId
 from irqverify.domain import AbstractState, Interval
 from irqverify.feasibility import FeasibilityResult
@@ -65,6 +65,12 @@ def test_interference_sizes_reported():
 # ---------------------------------------------------------------------------
 
 
+def local_states(g, interference, feasibility, entry):
+    """analyze_local on g's plan, as a node -> state map."""
+    plan = plan_handler(g, feasibility)
+    return dict(zip(plan.nodes, analyze_local(plan, interference, AnalysisConfig(), entry)))
+
+
 def test_local_analysis_without_interference_is_sequential():
     p = parse_program(
         "global x = 0; global y = 0;"
@@ -72,7 +78,7 @@ def test_local_analysis_without_interference_is_sequential():
     )
     g = build_cfg(p.handlers[0])
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
-    states = analyze_local(g, {}, None, AnalysisConfig(), entry)
+    states = local_states(g, {}, None, entry)
     check = next(n for n in g.nodes if isinstance(g.instr[n], Assert))
     assert states[check].get("y") == Interval(0, 3)
     assert states[check].get("x") == Interval.const(1)
@@ -83,20 +89,22 @@ def test_local_analysis_joins_interference_at_loads():
     g = build_cfg(p.handler("irq0"))
     load_node = NodeId("irq0", 1)
     store_one = NodeId("irq1", 4)
-    store_zero = NodeId("irq1", 5)
-    interference = {"x": ((store_one, Interval.const(1)), (store_zero, Interval.const(0)))}
+    # irq1's store classes: store_one (irq1:4) is intercepted and writes 1,
+    # store_zero (irq1:5) is not and writes 0
+    interference = {"irq1": {("x", True): Interval.const(1), ("x", False): Interval.const(0)}}
     entry = AbstractState({"x": Interval.const(0), "b": Interval.const(0)})
     # the covered load rejects the intercepted store_one and admits store_zero
     rejecting = FeasibilityResult(covered_load=frozenset({(load_node, "x")}),
                                   intercepted_store=frozenset({(store_one, "x")}),
                                   priority={"irq0": 0, "irq1": 1},
                                   pairs_total=2, pairs_pruned=1)
+    assert plan_handler(g, rejecting).reads[load_node.index] == (("x", True),)
     check = NodeId("irq0", 2)
 
-    pruned = analyze_local(g, interference, rejecting, AnalysisConfig(), entry)
+    pruned = local_states(g, interference, rejecting, entry)
     assert pruned[check].get("b") == Interval.const(0)
 
-    plain = analyze_local(g, interference, None, AnalysisConfig(), entry)
+    plain = local_states(g, interference, None, entry)
     assert plain[check].get("b") == Interval(0, 1)
 
 
@@ -107,7 +115,7 @@ def test_loop_widening_and_narrowing_terminate_with_bounds():
     )
     g = build_cfg(p.handlers[0])
     entry = AbstractState({"x": Interval.const(0)})
-    states = analyze_local(g, {}, None, AnalysisConfig(), entry)
+    states = local_states(g, {}, None, entry)
     check = next(n for n in g.nodes if isinstance(g.instr[n], Assert))
     # narrowing recovers the exact exit value after widening to +inf
     assert states[check].get("x") == Interval.const(10)
@@ -116,25 +124,24 @@ def test_loop_widening_and_narrowing_terminate_with_bounds():
 def test_collect_interferences_values_and_unreachable_stores():
     p = load_corpus("three_priorities")
     g = build_cfg(p.handler("irq_M"))
+    plan = plan_handler(g, None)
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
-    states = analyze_local(g, {}, None, AnalysisConfig(), entry)
-    interference = collect_interferences(g, states)
-    assert interference == {
-        "x": ((NodeId("irq_M", 2), Interval.const(1)),),
-        "y": ((NodeId("irq_M", 1), Interval.const(1)),),
+    states = analyze_local(plan, {}, AnalysisConfig(), entry)
+    assert plan.stores == ((1, ("y", False)), (2, ("x", False)))
+    assert collect_interferences(plan, states) == {
+        ("x", False): Interval.const(1),
+        ("y", False): Interval.const(1),
     }
 
     q = parse_program(
         "global x = 0;"
         "handler h priority 0 { if (0 == 1) { x = 5; } if (*) { x = 2; } }"
     )
-    gq = build_cfg(q.handlers[0])
-    sq = analyze_local(gq, {}, None, AnalysisConfig(), AbstractState({"x": Interval.const(0)}))
-    iq = collect_interferences(gq, sq)
-    values = {pair for pair in iq["x"]}
-    stored = {iv for _, iv in values}
-    assert Interval.const(2) in stored  # reachable branch store is present
-    assert Interval.const(5) not in stored  # dead branch store is omitted
+    plan_q = plan_handler(build_cfg(q.handlers[0]), None)
+    sq = analyze_local(plan_q, {}, AnalysisConfig(), AbstractState({"x": Interval.const(0)}))
+    assert len(plan_q.stores) == 2
+    # the reachable branch store is the whole hull: the dead x = 5 adds nothing
+    assert collect_interferences(plan_q, sq) == {("x", False): Interval.const(2)}
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,71 @@ def test_lattice_laws():
         assert leq(join(a, b), widen(a, b))
 
 
+def reference_interval_join(a, b):
+    """Hull of two intervals, always built anew."""
+    if a.empty:
+        return b
+    if b.empty:
+        return a
+    lo = None if a.lo is None or b.lo is None else min(a.lo, b.lo)
+    hi = None if a.hi is None or b.hi is None else max(a.hi, b.hi)
+    return Interval(lo, hi)
+
+
+def reference_join(a, b):
+    """Pointwise hull over every variable either side binds; unbound is top."""
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    names = {n for n, _ in a.items()} | {n for n, _ in b.items()}
+    return AbstractState({n: reference_interval_join(a.get(n), b.get(n)) for n in names})
+
+
+def reference_set(s, name, value):
+    """The state with one binding replaced, built anew."""
+    if s.is_bottom:
+        return s
+    return AbstractState({**dict(s.items()), name: value})
+
+
+def assert_clean(s):
+    """No state holds a top binding, and only the bottom state an empty one."""
+    assert all(not v.is_top() and not v.empty for _, v in s.items()), s
+
+
+def test_fast_paths_match_pointwise_reference():
+    rng = random.Random(9)
+    kept = 0
+    for _ in range(2000):
+        i, j = random_interval(rng), random_interval(rng)
+        hull = i.join(j)
+        assert hull == reference_interval_join(i, j)
+        if j.leq(i):
+            assert hull is i
+        a, b = random_state(rng), random_state(rng)
+        roll = rng.random()
+        if roll < 0.25:
+            a = join(a, b)  # b adds nothing to a
+        elif roll < 0.35 and not a.is_bottom:
+            b = AbstractState(dict(a.items()))  # equal to a, another object
+        joined = join(a, b)
+        assert joined == reference_join(a, b), (a, b)
+        # the result is a itself exactly when b adds nothing to it
+        assert (joined is a) == leq(b, a), (a, b)
+        kept += joined is a
+        assert join(a, a) is a
+        assert_clean(joined)
+        name, value = rng.choice(("x", "y", "z", "w")), random_interval(rng)
+        if rng.random() < 0.3:
+            value = a.get(name)  # rebinding to the current value
+        updated = a.set(name, value)
+        assert updated == reference_set(a, name, value), (a, name, value)
+        assert (updated is a) == (a.is_bottom or a.get(name) == value), (a, name, value)
+        assert_clean(updated)
+    assert 500 < kept < 1500  # both outcomes of the join are exercised
+
+
 def test_widening_chains_stabilize_within_three_steps():
     # per interval: one escape from bottom plus at most one escape per bound
     rng = random.Random(1)

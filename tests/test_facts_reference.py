@@ -4,7 +4,10 @@ The reference below is the dump that printed NoPreempt by expanding the
 relation over every node pair and then sorted all lines at once, with the
 per-node priority facts it read. `reference_extract_facts`, `reference_no_preempt`
 and `reference_dump_facts` are kept verbatim as test oracles; only names,
-docstrings and the fact base's class name differ.
+docstrings and the fact base's class name differ, and the dump's Dom, PostDom
+and MustNotReadFrom lines come from a local mask expansion and the per-pair
+`reference_must_not_read_from`, not from the package's `dominance_pairs` and
+`rejected_pairs`, so the reference shares no expansion code with the dump.
 The dump must give the same line list on the corpus, on progen seeds 0-499,
 on 8-handler progen programs, and on handlers whose node names do not sort
 in (handler, index) order.
@@ -15,13 +18,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from irqverify import extract_facts, must_not_read_from, parse_program, rejected_pairs
-from irqverify.cfg import AccessInfo, Cfg, NodeId, build_all, dominance_pairs, dominators, post_dominators
+from irqverify import extract_facts, must_not_read_from, parse_program
+from irqverify.cfg import AccessInfo, Cfg, NodeId, build_all, dominators, post_dominators
 from irqverify.feasibility import _cannot_preempt, dump_facts
 from irqverify.ir import Program
 
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
+from test_feasibility_reference import reference_must_not_read_from
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,17 @@ class ReferenceFactBase:
     pri: dict[NodeId, int]
     load: frozenset[tuple[NodeId, str]]
     store: frozenset[tuple[NodeId, str]]
+
+    @property
+    def priority(self) -> dict[str, int]:
+        """What `reference_must_not_read_from` reads priorities from."""
+        return reference_priorities(self)
+
+
+def reference_dominance_pairs(masks: dict[NodeId, int]) -> set[tuple[NodeId, NodeId]]:
+    """(a, b) for every node a whose bit is set in b's mask."""
+    return {(NodeId(b.handler, i), b) for b, mask in masks.items()
+            for i in range(mask.bit_length()) if mask >> i & 1}
 
 
 def reference_extract_facts(program: Program, cfgs: list[Cfg], infos: list[AccessInfo]) -> ReferenceFactBase:
@@ -68,15 +83,15 @@ def reference_no_preempt(fb: ReferenceFactBase) -> frozenset[tuple[NodeId, NodeI
 def reference_dump_facts(fb: ReferenceFactBase, result) -> list[str]:
     """One `REL(arg, ...)` tuple per line, sorted lexicographically."""
     lines: list[str] = []
-    lines += [f"Dom({a}, {b})" for a, b in dominance_pairs(fb.dom)]
-    lines += [f"PostDom({a}, {b})" for a, b in dominance_pairs(fb.postdom)]
+    lines += [f"Dom({a}, {b})" for a, b in reference_dominance_pairs(fb.dom)]
+    lines += [f"PostDom({a}, {b})" for a, b in reference_dominance_pairs(fb.postdom)]
     lines += [f"Pri({n}, {p})" for n, p in fb.pri.items()]
     lines += [f"Load({n}, {v})" for n, v in fb.load]
     lines += [f"Store({n}, {v})" for n, v in fb.store]
     lines += [f"NoPreempt({a}, {b})" for a, b in reference_no_preempt(fb)]
     lines += [f"CoveredLoad({n}, {v})" for n, v in result.covered_load]
     lines += [f"InterceptedStore({n}, {v})" for n, v in result.intercepted_store]
-    lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in rejected_pairs(fb, result)]
+    lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in reference_must_not_read_from(fb)[0]]
     return sorted(lines)
 
 

@@ -1,14 +1,19 @@
-"""Class-level MustNotReadFrom and per-class interference against the per-pair originals.
+"""Class-level MustNotReadFrom and the class-hull fixpoint against the per-pair originals.
 
 The reference functions below are the implementation that class-level
 evaluation replaced: the rules applied to every materialized cross-handler
-(load, store, variable) triple, and a local analysis whose `_node_output`
-scans every interference entry with a set lookup per entry at every visit.
-They are kept as test oracles with their logic unchanged; only names,
-docstrings and the rule loop's return value differ. On the corpus and progen
-seeds 0-499 the rejected triples and the pair counts must be the same; on the
-corpus and seeds 0-199 `analyze` must give the same node states and report,
-with pruning on and off.
+(load, store, variable) triple, and the whole-program fixpoint that passed
+every (store node, value) pair of the other handlers to a local analysis
+whose `_node_output` scans every interference entry with a set lookup per
+entry at every visit. `reference_analyze` is the outer loop of `analyze`
+with its `collect_interferences` and `_merge_interferences`, reading
+rejected triples instead of load and store classes. They are kept as test
+oracles with their logic unchanged; only names, docstrings, the rule loop's
+return value and the reference report's pair counts (taken from the
+reference rules) differ. On the corpus and progen seeds 0-499 the rejected
+triples and the pair counts must be the same; on the corpus, seeds 0-499 and
+20 eight-handler programs `analyze` must give the same node states and
+report, with pruning on and off, and with widening from the second round.
 """
 
 import random
@@ -17,13 +22,32 @@ from collections import deque
 import pytest
 
 from irqverify import extract_facts, must_not_read_from, rejected_pairs
-from irqverify.analyzer import AnalysisConfig, InterferenceMap, NodeStates, analyze
-from irqverify.cfg import Cfg, NodeId, build_all, node_global_reads
-from irqverify.domain import AbstractState, join, leq, transfer, widen
+from irqverify.analyzer import (
+    AnalysisConfig,
+    AnalysisReport,
+    NodeStates,
+    VerdictEntry,
+    analyze,
+)
+from irqverify.cfg import Cfg, NodeId, build_all, node_global_reads, node_global_write
+from irqverify.domain import (
+    AbstractState,
+    Interval,
+    Verdict,
+    check_assert,
+    join,
+    leq,
+    transfer,
+    widen,
+)
 from irqverify.feasibility import FactBase, covered_loads, intercepted_stores
+from irqverify.ir import Assert, Program
 
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
+
+#: Per-variable interference: ordered (store node, written value) pairs.
+InterferenceMap = dict[str, tuple[tuple[NodeId, Interval], ...]]
 
 
 def reference_cannot_preempt(fb: FactBase, s1: NodeId, s2: NodeId) -> bool:
@@ -151,25 +175,107 @@ def test_rejected_pairs_match_reference_on_progen_seeds():
         _check_relation(random_program(random.Random(seed)), f"progen seed {seed}")
 
 
-def _reference_analyze(monkeypatch, program, config):
-    rejected, _ = reference_must_not_read_from(_facts(program))
+def reference_collect_interferences(g: Cfg, states: NodeStates) -> InterferenceMap:
+    """(store node, stored value) pairs per global written by this handler."""
+    out: dict[str, list[tuple[NodeId, Interval]]] = {}
+    for n in g.nodes:
+        name = node_global_write(g.instr[n])
+        if name is None:
+            continue
+        state = states.get(n, AbstractState.bottom())
+        if state.is_bottom:
+            continue
+        out.setdefault(name, []).append((n, state.get(name)))
+    return {name: tuple(sorted(pairs, key=lambda p: p[0])) for name, pairs in sorted(out.items())}
 
-    def local(g, interference, feasibility, config, entry_state=None):
-        return reference_analyze_local(g, interference, rejected if feasibility is not None else None,
-                                       config, entry_state)
 
-    with monkeypatch.context() as m:
-        m.setattr("irqverify.analyzer.analyze_local", local)
-        return analyze(program, config)
+def reference_merge_interferences(maps: list[InterferenceMap]) -> InterferenceMap:
+    merged: dict[str, list[tuple[NodeId, Interval]]] = {}
+    for m in maps:
+        for name, pairs in m.items():
+            merged.setdefault(name, []).extend(pairs)
+    return {name: tuple(sorted(pairs, key=lambda p: p[0])) for name, pairs in sorted(merged.items())}
 
 
-@pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-pruning"])
-def test_node_states_match_reference(monkeypatch, pruning):
-    config = AnalysisConfig(pruning=pruning)
+def reference_analyze(program: Program, config: AnalysisConfig) -> tuple[NodeStates, AnalysisReport]:
+    """Rounds over every handler against the merged per-store interference."""
+    cfgs, _ = build_all(program)
+    rejected, pairs_total = reference_must_not_read_from(_facts(program))
+    rejected_active = rejected if config.pruning else None
+
+    global_names = program.global_names()
+    init_state = AbstractState({name: Interval.const(value) for name, value in program.globals})
+
+    states: NodeStates = {n: AbstractState.bottom() for g in cfgs for n in g.nodes}
+    iterations = 0
+    while True:
+        iterations += 1
+        prev = dict(states)
+        exit_join = AbstractState.bottom()
+        for g in cfgs:
+            exit_join = join(exit_join, prev[g.exit].restrict(global_names))
+        entry_state = join(init_state, exit_join)
+
+        per_handler = {g.handler: reference_collect_interferences(g, prev) for g in cfgs}
+        for g in cfgs:
+            interference = reference_merge_interferences(
+                [m for name, m in per_handler.items() if name != g.handler])
+            local = reference_analyze_local(g, interference, rejected_active, config, entry_state)
+            for n, state in local.items():
+                if iterations > config.max_outer:
+                    states[n] = widen(states[n], join(states[n], state))
+                else:
+                    states[n] = join(states[n], state)
+        if states == prev:
+            break
+
+    verdicts: list[VerdictEntry] = []
+    for g in cfgs:
+        for n in g.nodes:
+            ins = g.instr[n]
+            if isinstance(ins, Assert):
+                v = check_assert(ins.cond, states[n])
+                verdicts.append(VerdictEntry(
+                    assertion_id=ins.uid,
+                    handler=g.handler,
+                    verdict="Proved" if v is Verdict.PROVED else "Warning",
+                ))
+
+    interference_sizes = {name: 0 for name in global_names}
+    for g in cfgs:
+        for name, pairs in reference_collect_interferences(g, states).items():
+            interference_sizes[name] += len(pairs)
+
+    report = AnalysisReport(
+        verdicts=tuple(verdicts),
+        iterations=iterations,
+        interference_sizes=interference_sizes,
+        pairs_total=pairs_total,
+        pairs_pruned=len(rejected),
+        pruning_enabled=config.pruning,
+    )
+    return states, report
+
+
+def _fixpoint_programs():
     programs = [(name, load_corpus(name)) for name in CORPUS_NAMES]
-    programs += [(f"progen seed {seed}", random_program(random.Random(seed))) for seed in range(200)]
-    for label, program in programs:
-        want = _reference_analyze(monkeypatch, program, config)
+    programs += [(f"progen seed {seed}", random_program(random.Random(seed))) for seed in range(500)]
+    rng = random.Random(88)
+    programs += [(f"eight handlers #{i}", random_program(rng, handler_count=8)) for i in range(20)]
+    return programs
+
+
+@pytest.mark.parametrize("config", [
+    AnalysisConfig(pruning=True),
+    AnalysisConfig(pruning=False),
+    AnalysisConfig(widen_delay=1, max_outer=1),
+], ids=["pruning", "no-pruning", "widen-early"])
+def test_node_states_match_reference(config):
+    for label, program in _fixpoint_programs():
+        want_states, want_report = reference_analyze(program, config)
         got = analyze(program, config)
-        assert got.node_states == want.node_states, label
-        assert got.report == want.report, label
+        assert got.node_states == want_states, label
+        for name in ("verdicts", "iterations", "interference_sizes", "pairs_total",
+                     "pairs_pruned", "pruning_enabled"):
+            assert getattr(got.report, name) == getattr(want_report, name), (label, name)
+        assert got.report == want_report, label
