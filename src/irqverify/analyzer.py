@@ -1,23 +1,21 @@
 """Iterative modular analysis of a whole program, one handler at a time.
 
 Each round analyzes every handler in isolation against the interference
-environment collected from the previous round. A handler's interference is
-one interval hull per store class (variable, intercepted): the join of the
-values its reachable stores of that variable write, as in Miné's
-interference abstraction for prioritized tasks (LMCS 2012). The rejection
-rules see a load only through its class (variable, covered) and a store only
-through its class, so each load class admits the join of the other handlers'
-class hulls that `feasibility.rejects` does not reject; that is where
-priority awareness enters. At every node that reads a global, the incoming
-state's value for that variable is joined with its load class's admitted
-hull. Rounds repeat until no node state changes; after the configured number
-of rounds the merge switches from join to widening so the outer loop always
-terminates.
+environment collected from the previous round: one interval hull per store
+class (variable, handler, intercepted), the join of the values the class's
+reachable stores write, as in Miné's interference abstraction for prioritized
+tasks (LMCS 2012). Priority awareness enters through the class table of
+`feasibility.must_not_read_from`: each load class (variable, handler,
+covered) admits the other handlers' store classes it does not reject, and at
+every node that reads a global the incoming value is joined with the hulls
+its load class admits. Rounds repeat until no node state changes; after the
+configured number of rounds the merge switches from join to widening so the
+outer loop always terminates.
 
-Each handler is flattened once per `analyze` call into a `HandlerPlan`:
-predecessor and successor indices, loop heads, instructions, and each node's
-load and store classes. Node states live in per-handler lists indexed like
-the plan, and the `node_states` map is built once at the end.
+Each handler is flattened once per `analyze` call into a `HandlerPlan` of
+node indices, read off its CFG and the class table. Node states live in
+per-handler lists indexed like the plan, and the `node_states` map is built
+once at the end.
 
 Handler entry states start from the declared global initializers joined with
 every handler's exit state from the previous round (projected onto the
@@ -35,7 +33,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cfg import Cfg, NodeId, build_all, node_global_reads, node_global_write
+from .cfg import Cfg, NodeId, build_all
 from .domain import (
     AbstractState,
     Interval,
@@ -45,12 +43,15 @@ from .domain import (
     transfer,
     widen,
 )
-from .feasibility import FactBase, FeasibilityResult, extract_facts, must_not_read_from, rejects
+from .feasibility import (
+    FactBase,
+    FeasibilityResult,
+    LoadClass,
+    StoreClass,
+    extract_facts,
+    must_not_read_from,
+)
 from .ir import Assert, Instr, Program
-
-#: One handler's interference: the hull of the values its reachable stores
-#: write, per store class (variable, intercepted).
-ClassHulls = dict[tuple[str, bool], Interval]
 
 NodeStates = dict[NodeId, AbstractState]
 
@@ -79,7 +80,6 @@ class VerdictEntry:
 class AnalysisReport:
     verdicts: tuple[VerdictEntry, ...]
     iterations: int
-    interference_sizes: dict[str, int]
     pairs_total: int
     pairs_pruned: int
     pruning_enabled: bool
@@ -123,10 +123,9 @@ class HandlerPlan:
     """One handler's graph as node indices, with each node's access classes.
 
     Built once per `analyze` call. Index i is the node `nodes[i]`. A read is
-    kept as its load class (variable, covered) and a store as its store class
-    (variable, intercepted), because the rejection rules see nothing else of
-    either. With pruning off every flag is False and `priority` is None, so
-    every class is admitted.
+    kept as its load class and a store as its store class, because the
+    rejection rules see nothing else of either. Class keys are the objects of
+    the feasibility class table.
     """
 
     handler: str
@@ -135,27 +134,35 @@ class HandlerPlan:
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
     loop_head: tuple[bool, ...]
-    reads: tuple[tuple[tuple[str, bool], ...], ...]  # per node, its load classes
-    stores: tuple[tuple[int, tuple[str, bool]], ...]  # (store node, its store class)
-    load_classes: tuple[tuple[str, bool], ...]  # every load class of the handler, once
-    priority: dict[str, int] | None  # handler -> priority; None when pruning is off
+    reads: tuple[tuple[LoadClass, ...], ...]  # per node, its load classes
+    stores: tuple[tuple[int, StoreClass], ...]  # (store node, its store class), by node index
+    sources: dict[LoadClass, tuple[StoreClass, ...]]  # load class -> the store classes it admits
     entry: int
     exit: int
 
 
-def plan_handler(g: Cfg, feasibility: FeasibilityResult | None) -> HandlerPlan:
-    """Flatten g and classify its global reads and writes; `feasibility` None disables pruning."""
+def plan_handler(g: Cfg, feasibility: FeasibilityResult, pruning: bool) -> HandlerPlan:
+    """Flatten g and read its load classes, store sites and admitted sources off the class table.
+
+    A load class admits every other handler's store class of its variable
+    except, with `pruning`, the ones it must not read from.
+    """
     index = {n: i for i, n in enumerate(g.nodes)}
-    reads = []
-    stores = []
-    for i, n in enumerate(g.nodes):
-        ins = g.instr[n]
-        reads.append(tuple((name, feasibility is not None and (n, name) in feasibility.covered_load)
-                           for name in node_global_reads(ins)))
-        name = node_global_write(ins)
-        if name is not None:
-            stores.append((i, (name, feasibility is not None
-                               and (n, name) in feasibility.intercepted_store)))
+    reads: list[list[LoadClass]] = [[] for _ in g.nodes]
+    sources: dict[LoadClass, tuple[StoreClass, ...]] = {}
+    for load_class, loads in feasibility.load_classes.items():
+        v, handler, _ = load_class
+        if handler != g.handler:
+            continue
+        for n in loads:
+            reads[index[n]].append(load_class)
+        rejected = feasibility.rejected[load_class] if pruning else ()
+        sources[load_class] = tuple(
+            store_class for store_class in feasibility.store_classes.get(v, {})
+            if store_class[1] != handler and store_class not in rejected)
+    stores = sorted((index[s], store_class) for classes in feasibility.store_classes.values()
+                    for store_class, sites in classes.items() if store_class[1] == g.handler
+                    for s in sites)
     return HandlerPlan(
         handler=g.handler,
         nodes=g.nodes,
@@ -163,45 +170,36 @@ def plan_handler(g: Cfg, feasibility: FeasibilityResult | None) -> HandlerPlan:
         preds=tuple(tuple(index[p] for p in g.preds[n]) for n in g.nodes),
         succs=tuple(tuple(index[s] for s in g.succs[n]) for n in g.nodes),
         loop_head=tuple(n in g.loop_heads for n in g.nodes),
-        reads=tuple(reads),
+        reads=tuple(map(tuple, reads)),
         stores=tuple(stores),
-        load_classes=tuple(dict.fromkeys(cls for node_reads in reads for cls in node_reads)),
-        priority=feasibility.priority if feasibility is not None else None,
+        sources=sources,
         entry=index[g.entry],
         exit=index[g.exit],
     )
 
 
-def analyze_local(plan: HandlerPlan, interference: dict[str, ClassHulls],
+def analyze_local(plan: HandlerPlan, interference: dict[StoreClass, Interval],
                   config: AnalysisConfig,
                   entry_state: AbstractState | None = None) -> list[AbstractState]:
     """Worklist fixpoint over one handler with a fixed interference environment.
 
-    `interference` maps each handler to its store-class hulls; the plan's own
-    handler is skipped. Each load class admits the join of the other handlers'
-    class hulls that `rejects` does not reject, and every read of that class
-    joins it into the incoming state (interval join is an exact, commutative
+    Every read joins into the incoming state the hull of the `interference`
+    entries its load class admits (interval join is an exact, commutative
     hull, so this equals joining the admitted stores one by one). Widening
     engages at loop heads after `config.widen_delay` growths, and one
     descending pass afterwards recovers bounds the widening overshot.
     Deterministic: FIFO worklist seeded with the entry, successors in node
     order. Returns the state after each node, by node index.
     """
-    priority = plan.priority
-    admitted: dict[tuple[str, bool], Interval] = {}
-    for name, covered in plan.load_classes:
+    admitted: dict[LoadClass, Interval] = {}
+    for load_class, sources in plan.sources.items():
         hull = None
-        for store_handler, hulls in interference.items():
-            if store_handler == plan.handler:
-                continue
-            for intercepted in (False, True):
-                iv = hulls.get((name, intercepted))
-                if iv is None or priority is not None and rejects(
-                        priority, plan.handler, covered, store_handler, intercepted):
-                    continue
+        for store_class in sources:
+            iv = interference.get(store_class)
+            if iv is not None:
                 hull = iv if hull is None else hull.join(iv)
         if hull is not None:
-            admitted[name, covered] = hull
+            admitted[load_class] = hull
     joins = [tuple((cls[0], admitted[cls]) for cls in node_reads if cls in admitted)
              for node_reads in plan.reads]
     instr = plan.instr
@@ -256,14 +254,14 @@ def analyze_local(plan: HandlerPlan, interference: dict[str, ClassHulls],
     return post
 
 
-def collect_interferences(plan: HandlerPlan, states: list[AbstractState]) -> ClassHulls:
-    """One interval hull per store class (variable, intercepted) of this handler.
+def collect_interferences(plan: HandlerPlan, states: list[AbstractState]) -> dict[StoreClass, Interval]:
+    """One interval hull per store class of this handler.
 
     A store contributes the written variable's interval in the state after
     it. Stores whose state is bottom are unreachable and contribute nothing;
     a class with no reachable store is absent.
     """
-    out: ClassHulls = {}
+    out: dict[StoreClass, Interval] = {}
     for i, cls in plan.stores:
         state = states[i]
         if state.is_bottom:
@@ -289,12 +287,11 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
     """
     config = config or AnalysisConfig()
     cfgs, facts, feas = prepared if prepared is not None else prepare(program)
-    feas_active = feas if config.pruning else None
 
     global_names = program.global_names()
     init_state = AbstractState({name: Interval.const(value) for name, value in program.globals})
 
-    plans = [plan_handler(g, feas_active) for g in cfgs]
+    plans = [plan_handler(g, feas, config.pruning) for g in cfgs]
     bottom = AbstractState.bottom()
     states = [[bottom] * len(plan.nodes) for plan in plans]
     iterations = 0
@@ -309,8 +306,8 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
             exit_join = join(exit_join, post[plan.exit].restrict(global_names))
         entry_state = join(init_state, exit_join)
 
-        interference = {plan.handler: collect_interferences(plan, post)
-                        for plan, post in zip(plans, states)}
+        interference = {cls: hull for plan, post in zip(plans, states)
+                        for cls, hull in collect_interferences(plan, post).items()}
         for plan, post in zip(plans, states):
             local = analyze_local(plan, interference, config, entry_state)
             for i, state in enumerate(local):
@@ -322,7 +319,6 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
                 changed = True
 
     verdicts: list[VerdictEntry] = []
-    interference_sizes = {name: 0 for name in global_names}
     for plan, post in zip(plans, states):
         for ins, state in zip(plan.instr, post):
             if isinstance(ins, Assert):
@@ -332,14 +328,10 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
                     handler=plan.handler,
                     verdict="Proved" if v is Verdict.PROVED else "Warning",
                 ))
-        for i, (name, _intercepted) in plan.stores:
-            if not post[i].is_bottom:
-                interference_sizes[name] += 1
 
     report = AnalysisReport(
         verdicts=tuple(verdicts),
         iterations=iterations,
-        interference_sizes=interference_sizes,
         pairs_total=feas.pairs_total,
         pairs_pruned=feas.pairs_pruned,
         pruning_enabled=config.pruning,

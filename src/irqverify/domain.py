@@ -24,6 +24,7 @@ from .ir import (
     Havoc,
     Instr,
     Mul,
+    NEGATED,
     Nondet,
     Skip,
     Sub,
@@ -386,7 +387,7 @@ def assume_cond(cond: Cond, s: AbstractState) -> AbstractState:
         return s
     a = eval_expr(cond.left, s)
     b = eval_expr(cond.right, s)
-    if _definitely_true({"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}[cond.op], a, b):
+    if _definitely_true(NEGATED[cond.op], a, b):
         return AbstractState.bottom()
     out = s
     if isinstance(cond.left, VarRef):

@@ -26,21 +26,20 @@ bits through a per-handler index -> node name list.
 A cross-handler pair (load l, store s) of the same variable is rejected when
 (1) l is covered and s is intercepted, (2) l is covered and s's handler cannot
 preempt l's, or (3) s is intercepted and l's handler cannot preempt s's. The
-rules see a load only through its class (handler, covered) and a store only
-through its class (handler, intercepted), so ``rejects`` decides whole
-classes at once: ``must_not_read_from`` counts the pairs per (variable, load
-class, store class) instead of enumerating them, and the analysis joins, per
-load class, the hulls of the store classes it admits. The facts dump and
-``rejected_pairs`` group loads and stores into their classes, decide each pair
-of classes once and expand only the rejected ones into (load, store, variable)
-lines or triples. All rules are non-recursive; no fixpoint or external solver
-is involved.
+rules see a load only through its class (variable, handler, covered) and a
+store only through its class (variable, handler, intercepted), so ``rejects``
+decides whole classes at once. ``must_not_read_from`` groups the loads and
+stores into their classes and calls it exactly once per cross-handler pair of
+classes of one variable. Its result is the one class table every consumer
+reads: the pair counts are sums of class-size products, the analysis admits
+per load class the store classes it does not reject, and the facts dump and
+``rejected_pairs`` expand only the rejected pairs of classes into (load,
+store, variable) lines or triples. All rules are non-recursive; no fixpoint
+or external solver is involved.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
@@ -58,11 +57,17 @@ class FactBase:
     store: frozenset[tuple[NodeId, str]]
 
 
+LoadClass = tuple[str, str, bool]  # (variable, handler, covered)
+StoreClass = tuple[str, str, bool]  # (variable, handler, intercepted)
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
-    covered_load: frozenset[tuple[NodeId, str]]
-    intercepted_store: frozenset[tuple[NodeId, str]]
-    priority: dict[str, int]  # handler name -> priority
+    """MustNotReadFrom at class granularity, decided once per pair of classes."""
+
+    load_classes: dict[LoadClass, list[NodeId]]  # load class -> its load nodes
+    store_classes: dict[str, dict[StoreClass, list[NodeId]]]  # variable -> store class -> its store nodes
+    rejected: dict[LoadClass, list[StoreClass]]  # load class -> the store classes it must not read from
     pairs_total: int
     pairs_pruned: int
 
@@ -88,6 +93,9 @@ def _cannot_preempt(priority: dict[str, int], h1: str, h2: str) -> bool:
     return h1 != h2 and priority[h2] >= priority[h1]
 
 
+# No subcommand calls `no_preempt` or `cross_pairs`. They are kept for the tests
+# and as span targets of `perfbench/spans.py`, whose self-check fails when a
+# target is missing.
 def no_preempt(fb: FactBase) -> frozenset[tuple[NodeId, NodeId]]:
     """The NoPreempt relation expanded over all node pairs."""
     return frozenset((s1, s2) for s1 in fb.dom for s2 in fb.dom
@@ -142,58 +150,43 @@ def rejects(priority: dict[str, int], load_handler: str, covered: bool,
 
 
 def must_not_read_from(fb: FactBase) -> FeasibilityResult:
-    """Evaluate the rejection rules once per (variable, load class, store class).
+    """Group loads and stores into classes and decide each cross-handler pair of classes once.
 
-    A class holds n_loads x n_stores pairs, all rejected or all admitted, so
-    the pair counts are sums of products; no pair is enumerated.
+    A pair of classes holds n_loads x n_stores node pairs, all rejected or all
+    admitted, so the pair counts are sums of products; no pair is enumerated.
     """
     covered = covered_loads(fb)
     intercepted = intercepted_stores(fb)
-    load_classes = Counter((v, l.handler, (l, v) in covered) for l, v in fb.load)
-    store_classes: dict[str, Counter] = {}
+    load_classes: dict[LoadClass, list[NodeId]] = {}
+    for l, v in fb.load:
+        load_classes.setdefault((v, l.handler, (l, v) in covered), []).append(l)
+    store_classes: dict[str, dict[StoreClass, list[NodeId]]] = {}
     for s, v in fb.store:
-        store_classes.setdefault(v, Counter())[s.handler, (s, v) in intercepted] += 1
+        store_classes.setdefault(v, {}).setdefault((v, s.handler, (s, v) in intercepted), []).append(s)
+    rejected: dict[LoadClass, list[StoreClass]] = {}
     total = pruned = 0
-    for (v, lh, is_covered), n_loads in load_classes.items():
-        for (sh, is_intercepted), n_stores in store_classes.get(v, {}).items():
+    for load_class, loads in load_classes.items():
+        v, lh, is_covered = load_class
+        out = rejected[load_class] = []
+        for store_class, stores in store_classes.get(v, {}).items():
+            _, sh, is_intercepted = store_class
             if lh == sh:
                 continue
-            total += n_loads * n_stores
+            total += len(loads) * len(stores)
             if rejects(fb.priority, lh, is_covered, sh, is_intercepted):
-                pruned += n_loads * n_stores
-    return FeasibilityResult(
-        covered_load=covered,
-        intercepted_store=intercepted,
-        priority=fb.priority,
-        pairs_total=total,
-        pairs_pruned=pruned,
-    )
+                pruned += len(loads) * len(stores)
+                out.append(store_class)
+    return FeasibilityResult(load_classes=load_classes, store_classes=store_classes,
+                             rejected=rejected, pairs_total=total, pairs_pruned=pruned)
 
 
-def _rejected_classes(fb: FactBase, result: FeasibilityResult
-                      ) -> Iterator[tuple[str, list[NodeId], list[NodeId]]]:
-    """(variable, loads, stores) for every (load class, store class) pair `rejects` rejects.
-
-    Loads are grouped by (variable, handler, covered) and stores by (variable,
-    handler, intercepted), and the rules run once per pair of classes; every
-    pair of the two node lists is then in MustNotReadFrom.
-    """
-    loads: dict[tuple[str, str, bool], list[NodeId]] = {}
-    for l, v in fb.load:
-        loads.setdefault((v, l.handler, (l, v) in result.covered_load), []).append(l)
-    stores: dict[str, dict[tuple[str, bool], list[NodeId]]] = {}
-    for s, v in fb.store:
-        stores.setdefault(v, {}).setdefault((s.handler, (s, v) in result.intercepted_store), []).append(s)
-    for (v, lh, covered), load_nodes in loads.items():
-        for (sh, intercepted), store_nodes in stores.get(v, {}).items():
-            if rejects(result.priority, lh, covered, sh, intercepted):
-                yield v, load_nodes, store_nodes
-
-
-def rejected_pairs(fb: FactBase, result: FeasibilityResult) -> frozenset[tuple[NodeId, NodeId, str]]:
+def rejected_pairs(result: FeasibilityResult) -> frozenset[tuple[NodeId, NodeId, str]]:
     """The MustNotReadFrom relation expanded into (load, store, variable) triples."""
-    return frozenset((l, s, v) for v, loads, stores in _rejected_classes(fb, result)
-                     for l in loads for s in stores)
+    return frozenset((l, s, load_class[0])
+                     for load_class, store_classes in result.rejected.items()
+                     for store_class in store_classes
+                     for l in result.load_classes[load_class]
+                     for s in result.store_classes[load_class[0]][store_class])
 
 
 def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
@@ -242,11 +235,18 @@ def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
         "Store": [f"Store({name[n]}, {v})" for n, v in fb.store],
         "NoPreempt": [f"NoPreempt({a}, {b})" for h1 in handlers
                       for a in names_of[h1] for b in shielded[h1]],
-        "CoveredLoad": [f"CoveredLoad({name[n]}, {v})" for n, v in result.covered_load],
+        "CoveredLoad": [f"CoveredLoad({name[n]}, {v})"
+                        for (v, _, covered), loads in result.load_classes.items() if covered
+                        for n in loads],
         "InterceptedStore": [f"InterceptedStore({name[n]}, {v})"
-                             for n, v in result.intercepted_store],
-        "MustNotReadFrom": [f"MustNotReadFrom({name[l]}, {name[s]}, {v})"
-                            for v, loads, stores in _rejected_classes(fb, result)
-                            for l in loads for s in stores],
+                             for classes in result.store_classes.values()
+                             for (v, _, intercepted), stores in classes.items() if intercepted
+                             for n in stores],
+        # Expanded here like `rejected_pairs`, but without its set of triples.
+        "MustNotReadFrom": [f"MustNotReadFrom({name[l]}, {name[s]}, {load_class[0]})"
+                            for load_class, store_classes in result.rejected.items()
+                            for store_class in store_classes
+                            for l in result.load_classes[load_class]
+                            for s in result.store_classes[load_class[0]][store_class]],
     }
     return [line for rel in sorted(blocks) for line in sorted(blocks[rel])]

@@ -67,7 +67,7 @@ CmpOp = Literal["==", "!=", "<", "<=", ">", ">="]
 
 CMP_OPS: tuple[CmpOp, ...] = ("==", "!=", "<", "<=", ">", ">=")
 
-_NEGATED: dict[str, CmpOp] = {
+NEGATED: dict[str, CmpOp] = {
     "==": "!=",
     "!=": "==",
     "<": ">=",
@@ -97,7 +97,7 @@ Cond = Union[Cmp, Nondet]
 def negate_cond(cond: Cond) -> Cond:
     if isinstance(cond, Nondet):
         return cond
-    return Cmp(_NEGATED[cond.op], cond.left, cond.right)
+    return Cmp(NEGATED[cond.op], cond.left, cond.right)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from irqverify import (
     collect_traces,
     dominators,
     enumerate_executions,
+    intercepted_stores,
     leq,
     parse_program,
     post_dominators,
@@ -98,9 +99,9 @@ def test_golden_loop_case():
     assert {v.assertion_id: v.verdict for v in result.report.verdicts} == {"irq0#0": "Proved"}
     assert without == {"irq0#0": "Warning"}
     load_x, store_one = NodeId("irq0", 1), NodeId("irq1", 4)
-    assert (load_x, store_one, "x") in rejected_pairs(result.facts, result.feasibility)
+    assert (load_x, store_one, "x") in rejected_pairs(result.feasibility)
     # justified by interception: the x=0 store post-dominates the x=1 store
-    assert (store_one, "x") in result.feasibility.intercepted_store
+    assert (store_one, "x") in intercepted_stores(result.facts)
     assert elapsed < 1.0
 
 
@@ -126,7 +127,7 @@ def test_rejection_matrix_eight_cases():
             for higher in (True, False):
                 p = program(covered, intercepted, higher)
                 result = analyze(p)
-                rejected = rejected_pairs(result.facts, result.feasibility)
+                rejected = rejected_pairs(result.feasibility)
                 load = NodeId("irq0", 2)
                 store = NodeId("irq1", 1 if intercepted else 2)
                 if covered and intercepted:
@@ -175,7 +176,7 @@ def _check_against_oracle(p, budget, label, failures, stats):
     stats["programs"] += 1
     stats["asserts"] += len(pruned.report.verdicts)
     stats["flows"] += len(oracle.flows)
-    rejected = rejected_pairs(pruned.facts, pruned.feasibility)
+    rejected = rejected_pairs(pruned.feasibility)
     stats["rejected"] += len(rejected)
 
     if oracle.flows & rejected:

@@ -9,16 +9,14 @@ from irqverify import (
     analyze,
     analyze_local,
     analyze_program,
-    build_cfg,
     collect_interferences,
     enumerate_executions,
     leq,
     parse_program,
 )
-from irqverify.analyzer import assert_nodes, plan_handler
+from irqverify.analyzer import assert_nodes, plan_handler, prepare
 from irqverify.cfg import NodeId
 from irqverify.domain import AbstractState, Interval
-from irqverify.feasibility import FeasibilityResult
 from irqverify.ir import Assert
 
 from conftest import CORPUS_NAMES, load_corpus, load_expected
@@ -54,20 +52,19 @@ def test_pair_statistics_detail():
     assert (r.pairs_total, r.pairs_pruned, r.pairs_ratio) == (0, 0, 0.0)
 
 
-def test_interference_sizes_reported():
-    p = load_corpus("three_priorities")
-    report = analyze_program(p)
-    assert report.interference_sizes == {"x": 2, "y": 1}
-
-
 # ---------------------------------------------------------------------------
 # Local analysis
 # ---------------------------------------------------------------------------
 
 
-def local_states(g, interference, feasibility, entry):
-    """analyze_local on g's plan, as a node -> state map."""
-    plan = plan_handler(g, feasibility)
+def handler_plan(program, handler, pruning=True):
+    """The plan `analyze` builds for one handler of program."""
+    cfgs, _, feasibility = prepare(program)
+    return plan_handler(next(g for g in cfgs if g.handler == handler), feasibility, pruning)
+
+
+def local_states(plan, interference, entry):
+    """analyze_local on a plan, as a node -> state map."""
     return dict(zip(plan.nodes, analyze_local(plan, interference, AnalysisConfig(), entry)))
 
 
@@ -76,35 +73,37 @@ def test_local_analysis_without_interference_is_sequential():
         "global x = 0; global y = 0;"
         "handler h priority 0 { x = 1; y = x + 2; if (*) { y = 0; } assert(y <= 3); }"
     )
-    g = build_cfg(p.handlers[0])
+    plan = handler_plan(p, "h")
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
-    states = local_states(g, {}, None, entry)
-    check = next(n for n in g.nodes if isinstance(g.instr[n], Assert))
+    states = local_states(plan, {}, entry)
+    check = next(n for n, ins in zip(plan.nodes, plan.instr) if isinstance(ins, Assert))
     assert states[check].get("y") == Interval(0, 3)
     assert states[check].get("x") == Interval.const(1)
 
 
 def test_local_analysis_joins_interference_at_loads():
     p = load_corpus("loop_store_overwrite")
-    g = build_cfg(p.handler("irq0"))
     load_node = NodeId("irq0", 1)
-    store_one = NodeId("irq1", 4)
-    # irq1's store classes: store_one (irq1:4) is intercepted and writes 1,
-    # store_zero (irq1:5) is not and writes 0
-    interference = {"irq1": {("x", True): Interval.const(1), ("x", False): Interval.const(0)}}
+    # irq1's store classes: irq1:4 is intercepted and writes 1, irq1:5 is not
+    # and writes 0
+    store_one = ("x", "irq1", True)
+    store_zero = ("x", "irq1", False)
+    interference = {store_one: Interval.const(1), store_zero: Interval.const(0)}
     entry = AbstractState({"x": Interval.const(0), "b": Interval.const(0)})
-    # the covered load rejects the intercepted store_one and admits store_zero
-    rejecting = FeasibilityResult(covered_load=frozenset({(load_node, "x")}),
-                                  intercepted_store=frozenset({(store_one, "x")}),
-                                  priority={"irq0": 0, "irq1": 1},
-                                  pairs_total=2, pairs_pruned=1)
-    assert plan_handler(g, rejecting).reads[load_node.index] == (("x", True),)
     check = NodeId("irq0", 2)
 
-    pruned = local_states(g, interference, rejecting, entry)
+    # irq0:1 is uncovered; rule 3 rejects the intercepted store_one because
+    # the lower-priority irq0 cannot preempt irq1 between its two stores
+    pruned_plan = handler_plan(p, "irq0")
+    load_class = ("x", "irq0", False)
+    assert pruned_plan.reads[load_node.index] == (load_class,)
+    assert pruned_plan.sources[load_class] == (store_zero,)
+    pruned = local_states(pruned_plan, interference, entry)
     assert pruned[check].get("b") == Interval.const(0)
 
-    plain = local_states(g, interference, None, entry)
+    plain_plan = handler_plan(p, "irq0", pruning=False)
+    assert set(plain_plan.sources[load_class]) == {store_one, store_zero}
+    plain = local_states(plain_plan, interference, entry)
     assert plain[check].get("b") == Interval(0, 1)
 
 
@@ -113,35 +112,33 @@ def test_loop_widening_and_narrowing_terminate_with_bounds():
         "global x = 0;"
         "handler h priority 0 { while (x < 10) { x = x + 1; } assert(x >= 10); }"
     )
-    g = build_cfg(p.handlers[0])
+    plan = handler_plan(p, "h")
     entry = AbstractState({"x": Interval.const(0)})
-    states = local_states(g, {}, None, entry)
-    check = next(n for n in g.nodes if isinstance(g.instr[n], Assert))
+    states = local_states(plan, {}, entry)
+    check = next(n for n, ins in zip(plan.nodes, plan.instr) if isinstance(ins, Assert))
     # narrowing recovers the exact exit value after widening to +inf
     assert states[check].get("x") == Interval.const(10)
 
 
 def test_collect_interferences_values_and_unreachable_stores():
-    p = load_corpus("three_priorities")
-    g = build_cfg(p.handler("irq_M"))
-    plan = plan_handler(g, None)
+    plan = handler_plan(load_corpus("three_priorities"), "irq_M")
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
     states = analyze_local(plan, {}, AnalysisConfig(), entry)
-    assert plan.stores == ((1, ("y", False)), (2, ("x", False)))
+    assert plan.stores == ((1, ("y", "irq_M", False)), (2, ("x", "irq_M", False)))
     assert collect_interferences(plan, states) == {
-        ("x", False): Interval.const(1),
-        ("y", False): Interval.const(1),
+        ("x", "irq_M", False): Interval.const(1),
+        ("y", "irq_M", False): Interval.const(1),
     }
 
     q = parse_program(
         "global x = 0;"
         "handler h priority 0 { if (0 == 1) { x = 5; } if (*) { x = 2; } }"
     )
-    plan_q = plan_handler(build_cfg(q.handlers[0]), None)
+    plan_q = handler_plan(q, "h")
     sq = analyze_local(plan_q, {}, AnalysisConfig(), AbstractState({"x": Interval.const(0)}))
     assert len(plan_q.stores) == 2
     # the reachable branch store is the whole hull: the dead x = 5 adds nothing
-    assert collect_interferences(plan_q, sq) == {("x", False): Interval.const(2)}
+    assert collect_interferences(plan_q, sq) == {("x", "h", False): Interval.const(2)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ docstrings and the fact base's class name differ, and the dump's Dom, PostDom
 and MustNotReadFrom lines come from a local mask expansion and the per-pair
 `reference_must_not_read_from`, not from the package's `dominance_pairs` and
 `rejected_pairs`, so the reference shares no expansion code with the dump.
+Its CoveredLoad and InterceptedStore lines come from `covered_loads` and
+`intercepted_stores` on the fact base, where the dump reads the class flags
+of the feasibility result.
 The dump must give the same line list on the corpus, on progen seeds 0-499,
 on 8-handler progen programs, and on handlers whose node names do not sort
 in (handler, index) order.
@@ -20,7 +23,7 @@ import pytest
 
 from irqverify import extract_facts, must_not_read_from, parse_program
 from irqverify.cfg import AccessInfo, Cfg, NodeId, build_all, dominators, post_dominators
-from irqverify.feasibility import _cannot_preempt, dump_facts
+from irqverify.feasibility import _cannot_preempt, covered_loads, dump_facts, intercepted_stores
 from irqverify.ir import Program
 
 from conftest import CORPUS_NAMES, load_corpus
@@ -80,7 +83,7 @@ def reference_no_preempt(fb: ReferenceFactBase) -> frozenset[tuple[NodeId, NodeI
                      if _cannot_preempt(priority, s1.handler, s2.handler))
 
 
-def reference_dump_facts(fb: ReferenceFactBase, result) -> list[str]:
+def reference_dump_facts(fb: ReferenceFactBase) -> list[str]:
     """One `REL(arg, ...)` tuple per line, sorted lexicographically."""
     lines: list[str] = []
     lines += [f"Dom({a}, {b})" for a, b in reference_dominance_pairs(fb.dom)]
@@ -89,8 +92,8 @@ def reference_dump_facts(fb: ReferenceFactBase, result) -> list[str]:
     lines += [f"Load({n}, {v})" for n, v in fb.load]
     lines += [f"Store({n}, {v})" for n, v in fb.store]
     lines += [f"NoPreempt({a}, {b})" for a, b in reference_no_preempt(fb)]
-    lines += [f"CoveredLoad({n}, {v})" for n, v in result.covered_load]
-    lines += [f"InterceptedStore({n}, {v})" for n, v in result.intercepted_store]
+    lines += [f"CoveredLoad({n}, {v})" for n, v in covered_loads(fb)]
+    lines += [f"InterceptedStore({n}, {v})" for n, v in intercepted_stores(fb)]
     lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in reference_must_not_read_from(fb)[0]]
     return sorted(lines)
 
@@ -98,8 +101,7 @@ def reference_dump_facts(fb: ReferenceFactBase, result) -> list[str]:
 def both_dumps(program: Program) -> tuple[list[str], list[str]]:
     cfgs, infos = build_all(program)
     fb = extract_facts(program, cfgs, infos)
-    result = must_not_read_from(fb)
-    return dump_facts(fb, result), reference_dump_facts(reference_extract_facts(program, cfgs, infos), result)
+    return dump_facts(fb, must_not_read_from(fb)), reference_dump_facts(reference_extract_facts(program, cfgs, infos))
 
 
 def prefix_handlers(pri_a: int, pri_a1: int) -> Program:

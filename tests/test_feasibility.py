@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from irqverify.cli import main
 from irqverify.feasibility import cross_pairs, dump_facts
 from irqverify.ir import Assert, Assign, Handler, format_program
 
-from conftest import corpus_path, load_corpus
+from conftest import CORPUS_NAMES, corpus_path, load_corpus
 from progen import random_program
 
 
@@ -55,9 +56,7 @@ def test_priorities_attach_to_every_node_of_a_handler():
     fb, cfgs = facts_of(load_corpus("three_priorities"))
     want = {"irq_H": 2, "irq_L": 0, "irq_M": 1}
     assert fb.priority == want
-    result = must_not_read_from(fb)
-    assert result.priority is fb.priority
-    pri_lines = [line for line in dump_facts(fb, result) if line.startswith("Pri(")]
+    pri_lines = [line for line in dump_facts(fb, must_not_read_from(fb)) if line.startswith("Pri(")]
     assert sorted(pri_lines) == sorted(f"Pri({n}, {want[g.handler]})" for g in cfgs for n in g.nodes)
 
 
@@ -219,13 +218,13 @@ def test_rejection_matrix(covered, intercepted, higher, want):
     fb, cfgs = facts_of(p)
     result = must_not_read_from(fb)
     load, store = quadrant_target(cfgs, intercepted)
-    assert ((load, store, "x") in rejected_pairs(fb, result)) == want
+    assert ((load, store, "x") in rejected_pairs(result)) == want
 
 
 def test_three_priorities_rejections():
     p = load_corpus("three_priorities")
     fb, cfgs = facts_of(p)
-    rejected = rejected_pairs(fb, must_not_read_from(fb))
+    rejected = rejected_pairs(must_not_read_from(fb))
     m_assert = assert_node_of(cfgs, "irq_M")
     l_store = store_node(cfgs, "irq_L", "x", 0)
     h_assert = assert_node_of(cfgs, "irq_H")
@@ -240,7 +239,7 @@ def test_rejections_are_cross_handler_same_variable():
     for name in ("three_priorities", "branch_overwrites", "loop_store_overwrite"):
         p = load_corpus(name)
         fb, _ = facts_of(p)
-        rejected = rejected_pairs(fb, must_not_read_from(fb))
+        rejected = rejected_pairs(must_not_read_from(fb))
         for (l, s, v) in rejected:
             assert l.handler != s.handler
             assert (l, v) in fb.load and (s, v) in fb.store
@@ -251,7 +250,7 @@ def test_single_handler_has_no_cross_pairs():
     p = parse_program("global x = 0; handler h priority 0 { x = 1; assert(x == 1); }")
     fb, _ = facts_of(p)
     assert cross_pairs(fb) == frozenset()
-    assert rejected_pairs(fb, must_not_read_from(fb)) == frozenset()
+    assert rejected_pairs(must_not_read_from(fb)) == frozenset()
 
 
 def test_every_rejection_is_justified_by_a_rule():
@@ -259,10 +258,10 @@ def test_every_rejection_is_justified_by_a_rule():
         p = random_program(random.Random(seed))
         fb, _ = facts_of(p)
         result = must_not_read_from(fb)
-        covered = result.covered_load
-        intercepted = result.intercepted_store
+        covered = covered_loads(fb)
+        intercepted = intercepted_stores(fb)
         np = no_preempt(fb)
-        for (l, s, v) in rejected_pairs(fb, result):
+        for (l, s, v) in rejected_pairs(result):
             r1 = (l, v) in covered and (s, v) in intercepted
             r2 = (l, v) in covered and (s, l) in np
             r3 = (s, v) in intercepted and (l, s) in np
@@ -296,7 +295,7 @@ def test_facts_decides_no_preempt_per_handler_pair(monkeypatch, capsys, tmp_path
     """The facts run evaluates the priority rule at most once per ordered handler pair.
 
     Calls made inside `rejects` are left out of the count: the rejection
-    rules consult the priority rule per class and per cross pair, and are
+    rules consult the priority rule once per pair of classes, and are
     bounded by those, not by the node pairs NoPreempt prints.
     """
     eight = tmp_path / "eight.irq"
@@ -329,6 +328,38 @@ def test_facts_decides_no_preempt_per_handler_pair(monkeypatch, capsys, tmp_path
         assert 0 < calls <= handlers ** 2, (path, calls)
 
 
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_rejects_runs_once_per_class_pair(monkeypatch, capsys, name):
+    """`compare` (one prepare, two analyses) and `facts` each decide every pair of classes once.
+
+    `rejects` is patched in every module that binds it, and the classes are
+    counted here from the facts, not from the feasibility result.
+    """
+    fb, _ = facts_of(load_corpus(name))
+    covered, intercepted = covered_loads(fb), intercepted_stores(fb)
+    load_classes = {(v, l.handler, (l, v) in covered) for l, v in fb.load}
+    store_classes = {(v, s.handler, (s, v) in intercepted) for s, v in fb.store}
+    want = sum(1 for v, lh, _ in load_classes for w, sh, _ in store_classes if v == w and lh != sh)
+
+    real_rejects = feasibility.rejects
+    calls = 0
+
+    def counting_rejects(*args):
+        nonlocal calls
+        calls += 1
+        return real_rejects(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "irqverify" and getattr(module, "rejects", None) is real_rejects:
+            monkeypatch.setattr(module, "rejects", counting_rejects)
+    path = str(corpus_path(name))
+    for command in ("compare", "facts"):
+        calls = 0
+        assert main([command, path]) == 0
+        assert calls == want, (command, calls, want)
+    capsys.readouterr()
+
+
 def test_pairs_total_counts_cross_pairs():
     for seed in range(50):
         fb, _ = facts_of(random_program(random.Random(seed)))
@@ -339,7 +370,7 @@ def test_pairs_pruned_counts_rejected_pairs():
     for seed in range(50):
         fb, _ = facts_of(random_program(random.Random(seed)))
         result = must_not_read_from(fb)
-        assert result.pairs_pruned == len(rejected_pairs(fb, result)), f"seed {seed}"
+        assert result.pairs_pruned == len(rejected_pairs(result)), f"seed {seed}"
 
 
 def test_analysis_builds_no_pair_triples(monkeypatch, capsys):

@@ -161,7 +161,7 @@ def _check_relation(program, label):
     fb = _facts(program)
     want_rejected, want_total = reference_must_not_read_from(fb)
     result = must_not_read_from(fb)
-    assert rejected_pairs(fb, result) == want_rejected, label
+    assert rejected_pairs(result) == want_rejected, label
     assert (result.pairs_total, result.pairs_pruned) == (want_total, len(want_rejected)), label
 
 
@@ -241,15 +241,9 @@ def reference_analyze(program: Program, config: AnalysisConfig) -> tuple[NodeSta
                     verdict="Proved" if v is Verdict.PROVED else "Warning",
                 ))
 
-    interference_sizes = {name: 0 for name in global_names}
-    for g in cfgs:
-        for name, pairs in reference_collect_interferences(g, states).items():
-            interference_sizes[name] += len(pairs)
-
     report = AnalysisReport(
         verdicts=tuple(verdicts),
         iterations=iterations,
-        interference_sizes=interference_sizes,
         pairs_total=pairs_total,
         pairs_pruned=len(rejected),
         pruning_enabled=config.pruning,
@@ -275,7 +269,6 @@ def test_node_states_match_reference(config):
         want_states, want_report = reference_analyze(program, config)
         got = analyze(program, config)
         assert got.node_states == want_states, label
-        for name in ("verdicts", "iterations", "interference_sizes", "pairs_total",
-                     "pairs_pruned", "pruning_enabled"):
+        for name in ("verdicts", "iterations", "pairs_total", "pairs_pruned", "pruning_enabled"):
             assert getattr(got.report, name) == getattr(want_report, name), (label, name)
         assert got.report == want_report, label

@@ -166,7 +166,7 @@ def test_rejected_pairs_never_observed_on_corpus():
         result = analyze(p)
         oracle = enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2,
                                                       track_flows=True))
-        assert oracle.flows & rejected_pairs(result.facts, result.feasibility) == frozenset()
+        assert oracle.flows & rejected_pairs(result.feasibility) == frozenset()
 
 
 def test_observed_flows_pair_same_variable_loads_and_stores():
