@@ -15,7 +15,6 @@ from .analyzer import (
     AnalysisResult,
     analyze,
     analyze_local,
-    analyze_program,
     collect_interferences,
     plan_handler,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "access_info",
     "analyze",
     "analyze_local",
-    "analyze_program",
     "build_cfg",
     "check_assert",
     "collect_interferences",

@@ -340,19 +340,3 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
                                for n, state in zip(plan.nodes, post)}
     return AnalysisResult(report=report, node_states=node_states, facts=facts,
                           feasibility=feas, cfgs=cfgs)
-
-
-def analyze_program(program: Program, config: AnalysisConfig | None = None) -> AnalysisReport:
-    """Analyze and report verdicts plus pruning statistics."""
-    return analyze(program, config).report
-
-
-def assert_nodes(cfgs: list[Cfg]) -> dict[str, NodeId]:
-    """Assertion id to node lookup across a program's graphs."""
-    out: dict[str, NodeId] = {}
-    for g in cfgs:
-        for n in g.nodes:
-            ins = g.instr[n]
-            if isinstance(ins, Assert):
-                out[ins.uid] = n
-    return out

@@ -17,6 +17,7 @@ internal error (traceback, then ``error: internal error: ...`` on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -156,7 +157,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` may run many times."""
     parser = argparse.ArgumentParser(
         prog="irqverify",
         description="Prove or warn about assertions in interrupt-driven programs.")

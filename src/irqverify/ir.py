@@ -168,15 +168,6 @@ class Program:
     def global_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.globals)
 
-    def initial_env(self) -> dict[str, int]:
-        return dict(self.globals)
-
-    def handler(self, name: str) -> Handler:
-        for h in self.handlers:
-            if h.name == name:
-                return h
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Structural queries

@@ -38,6 +38,12 @@ offered at that state are then the only way on. The state graph is acyclic
 (budgets fall and loop counts are bounded), so no cycle proviso is needed.
 The reduction keeps every violation, flow, assertion value, truncation and
 distinct end state; it only explores fewer states on the way.
+
+The search visits each scheduler state once. With traces recorded it visits
+each (state, trace so far) pair once instead: two paths that reach the same
+state with the same trace have the same futures, so merging them loses no
+trace, violation or truncation. `executions` then counts distinct (end state,
+trace) pairs rather than paths.
 """
 
 from __future__ import annotations
@@ -286,16 +292,17 @@ class _Enumerator:
         init = ((), tuple(v for _, v in self.program.globals),
                 tuple(None for _ in self.gnames), initial_budgets)
         stack: list[tuple[tuple, tuple[NodeId, ...]]] = [(init, ())]
-        seen: set[tuple] | None = None if self.oc.record_traces else set()
+        seen: set[tuple] = set()
+        record_traces = self.oc.record_traces
         states_explored = 0
         while stack:
-            st, trace = stack.pop()
-            if seen is not None:
-                # add-then-compare hashes the nested state once, not twice
-                size = len(seen)
-                seen.add(st)
-                if len(seen) == size:
-                    continue
+            item = stack.pop()
+            st, trace = item
+            # add-then-compare hashes the nested state once, not twice
+            size = len(seen)
+            seen.add(item if record_traces else st)
+            if len(seen) == size:
+                continue
             states_explored += 1
             if states_explored > self.oc.max_states:
                 raise OracleLimitError(
@@ -305,7 +312,7 @@ class _Enumerator:
             if frames:
                 indices = (len(frames) - 1,) if self.interrupt else range(len(frames))
                 ample_idx = None
-                if not self.oc.record_traces:
+                if not record_traces:
                     # partial-order reduction; see the module docstring
                     for idx in indices:
                         h, n, _, _ = frames[idx]
@@ -327,7 +334,7 @@ class _Enumerator:
                 if self.executions > self.oc.max_executions:
                     raise OracleLimitError(
                         f"exceeded {self.oc.max_executions} explored executions")
-                if self.oc.record_traces:
+                if record_traces:
                     self.traces.add(trace)
             choices.extend((s2, trace) for s2 in self._invocations(st))
             stack.extend(reversed(choices))

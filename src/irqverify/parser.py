@@ -15,15 +15,25 @@ Grammar sketch::
     cond        := expr REL expr          REL in { == != < <= > >= }
     expr        := affine arithmetic: +, -, unary -, constant * expr
 
-`//` starts a comment running to end of line. Multiplication is restricted to
-a constant literal times an expression so every expression stays affine.
+Lexical rules: only space, tab, carriage return and newline separate tokens;
+`//` starts a comment running to end of line. An identifier starts with a
+letter (any Unicode letter) or `_` and goes on with letters, `_` and numeric
+characters; an integer is a run of decimal digits (any Unicode decimal digit,
+so `٣` reads as 3). Any other character, such as `²` outside an identifier, is
+an `unexpected character` error. The lexer is one compiled pattern with one
+group per class, and a token's kind is "ident", "int", "eof", or else the
+keyword or punctuation text itself.
+
+Multiplication is restricted to a constant literal times an expression so
+every expression stays affine.
 Locals are declared with `local name = expr;`, exactly once per handler, and
 before any use on every path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .ir import (
     Add,
@@ -49,7 +59,16 @@ from .ir import (
 
 _KEYWORDS = {"global", "handler", "priority", "local", "assert", "if", "else", "while", "havoc", "skip"}
 
-_PUNCT = ("==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "(", ")", "{", "}", ";")
+# One alternative per lexical class; `bad` catches any other single character.
+_TOKEN_RE = re.compile(r"""
+      (?P<ws>[ \t\r]+)
+    | (?P<comment>//[^\n]*)
+    | (?P<newline>\n)
+    | (?P<int>\d+)
+    | (?P<word>\w+)
+    | (?P<punct>==|!=|<=|>=|[<>=+\-*(){};])
+    | (?P<bad>.)
+""", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -62,9 +81,8 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | "punct" | "kw" | "eof"
+class _Token(NamedTuple):
+    kind: str  # "ident" | "int" | "eof", or the keyword or punctuation text itself
     text: str
     line: int
     col: int
@@ -72,46 +90,29 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "ws" or group == "comment":
             continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
+        if group == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("kw" if word in _KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(_Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
+        word = m.group()
+        col = m.start() - line_start + 1
+        if group == "word":
+            # `\w` also matches digits that are not decimal, such as '²'
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            kind = word if word in _KEYWORDS else "ident"
+        elif group == "int":
+            kind = "int"
+        elif group == "punct":
+            kind = word
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        tokens.append(_Token(kind, word, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -139,21 +140,15 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, tok.line, tok.col)
 
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str) -> _Token:
         t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            raise self.fail(f"expected {want!r}, found {t.text!r}" if t.kind != "eof"
-                            else f"expected {want!r}, found end of input")
+        if t.kind != kind:
+            raise self.fail(f"expected {kind!r}, found {t.text!r}" if t.kind != "eof"
+                            else f"expected {kind!r}, found end of input")
         return self.next()
 
-    def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
-
-    def at_kw(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == text
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos].kind == kind
 
     # -- program structure -------------------------------------------------
 
@@ -163,17 +158,17 @@ class _Parser:
         global_order: list[tuple[str, int]] = []
         seen_globals: set[str] = set()
         while self.peek().kind != "eof":
-            if self.at_kw("global"):
+            if self.at("global"):
                 tok = self.next()
                 name = self.expect("ident")
-                self.expect("punct", "=")
+                self.expect("=")
                 init = self.int_literal()
-                self.expect("punct", ";")
+                self.expect(";")
                 if name.text in seen_globals:
                     raise self.fail(f"duplicate global '{name.text}'", name)
                 seen_globals.add(name.text)
                 global_order.append((name.text, init))
-            elif self.at_kw("handler"):
+            elif self.at("handler"):
                 h = self.handler_decl()
                 if h.name in handler_names:
                     raise self.fail(f"duplicate handler '{h.name}'")
@@ -188,7 +183,7 @@ class _Parser:
 
     def int_literal(self) -> int:
         neg = False
-        if self.at_punct("-"):
+        if self.at("-"):
             self.next()
             neg = True
         tok = self.expect("int")
@@ -196,9 +191,9 @@ class _Parser:
         return -value if neg else value
 
     def handler_decl(self) -> Handler:
-        self.expect("kw", "handler")
+        self.expect("handler")
         name = self.expect("ident")
-        self.expect("kw", "priority")
+        self.expect("priority")
         pr_tok = self.peek()
         priority = self.int_literal()
         if priority < 0:
@@ -211,77 +206,78 @@ class _Parser:
 
     def block(self, declared: set[str]) -> tuple[Stmt, ...]:
         """Parse `{ stmt* }`; `declared` is the definitely-assigned local set."""
-        self.expect("punct", "{")
+        self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             stmts.append(self.statement(declared))
-        self.expect("punct", "}")
+        self.expect("}")
         return tuple(stmts)
 
     # -- statements ----------------------------------------------------------
 
     def statement(self, declared: set[str]) -> Stmt:
         t = self.peek()
-        if t.kind == "kw":
-            if t.text == "skip":
-                self.next()
-                self.expect("punct", ";")
-                return Skip()
-            if t.text == "havoc":
-                self.next()
-                name = self.expect("ident")
-                self.expect("punct", ";")
-                return Havoc(self.var_ref(name, declared))
-            if t.text == "assert":
-                self.next()
-                self.expect("punct", "(")
-                cond = self.comparison(declared)
-                self.expect("punct", ")")
-                self.expect("punct", ";")
-                uid = f"{self.handler_name}#{self.assert_count}"
-                self.assert_count += 1
-                return Assert(cond, uid)
-            if t.text == "local":
-                self.next()
-                name = self.expect("ident")
-                if name.text in self.globals:
-                    raise self.fail(f"local '{name.text}' shadows a global", name)
-                if name.text in self.handler_locals:
-                    raise self.fail(f"duplicate local '{name.text}'", name)
-                self.expect("punct", "=")
-                expr = self.expression(declared)
-                self.expect("punct", ";")
-                self.handler_locals.add(name.text)
-                declared.add(name.text)
-                return Assign(VarRef(name.text, "local"), expr)
-            if t.text == "if":
-                self.next()
-                self.expect("punct", "(")
-                cond = self.cond_or_star(declared)
-                self.expect("punct", ")")
-                then = self.block(set(declared))
-                orelse: tuple[Stmt, ...] = ()
-                if self.at_kw("else"):
-                    self.next()
-                    orelse = self.block(set(declared))
-                return If(cond, then, orelse)
-            if t.text == "while":
-                self.next()
-                self.expect("punct", "(")
-                cond = self.cond_or_star(declared)
-                self.expect("punct", ")")
-                body = self.block(set(declared))
-                return While(cond, body)
-            raise self.fail(f"unexpected keyword '{t.text}'")
-        if t.kind == "ident":
+        kind = t.kind
+        if kind == "ident":
             name = self.next()
-            self.expect("punct", "=")
+            self.expect("=")
             expr = self.expression(declared)
-            self.expect("punct", ";")
+            self.expect(";")
             target = self.var_ref(name, declared, is_read=False)
             if not target.is_global and target.name not in declared:
                 raise self.fail(f"local '{target.name}' assigned before declaration", name)
             return Assign(target, expr)
+        if kind == "skip":
+            self.next()
+            self.expect(";")
+            return Skip()
+        if kind == "havoc":
+            self.next()
+            name = self.expect("ident")
+            self.expect(";")
+            return Havoc(self.var_ref(name, declared))
+        if kind == "assert":
+            self.next()
+            self.expect("(")
+            cond = self.comparison(declared)
+            self.expect(")")
+            self.expect(";")
+            uid = f"{self.handler_name}#{self.assert_count}"
+            self.assert_count += 1
+            return Assert(cond, uid)
+        if kind == "local":
+            self.next()
+            name = self.expect("ident")
+            if name.text in self.globals:
+                raise self.fail(f"local '{name.text}' shadows a global", name)
+            if name.text in self.handler_locals:
+                raise self.fail(f"duplicate local '{name.text}'", name)
+            self.expect("=")
+            expr = self.expression(declared)
+            self.expect(";")
+            self.handler_locals.add(name.text)
+            declared.add(name.text)
+            return Assign(VarRef(name.text, "local"), expr)
+        if kind == "if":
+            self.next()
+            self.expect("(")
+            cond = self.cond_or_star(declared)
+            self.expect(")")
+            then = self.block(set(declared))
+            orelse: tuple[Stmt, ...] = ()
+            if self.at("else"):
+                self.next()
+                orelse = self.block(set(declared))
+            return If(cond, then, orelse)
+        if kind == "while":
+            self.next()
+            self.expect("(")
+            cond = self.cond_or_star(declared)
+            self.expect(")")
+            body = self.block(set(declared))
+            return While(cond, body)
+        if kind in _KEYWORDS:
+            raise self.fail(f"unexpected keyword '{t.text}'")
         raise self.fail(f"expected a statement, found {t.text!r}")
 
     def var_ref(self, tok: _Token, declared: set[str], *, is_read: bool = True) -> VarRef:
@@ -296,7 +292,7 @@ class _Parser:
     # -- conditions and expressions -------------------------------------------
 
     def cond_or_star(self, declared: set[str]) -> Cond:
-        if self.at_punct("*"):
+        if self.at("*"):
             self.next()
             return NONDET
         return self.comparison(declared)
@@ -304,23 +300,23 @@ class _Parser:
     def comparison(self, declared: set[str]) -> Cmp:
         left = self.expression(declared)
         t = self.peek()
-        if t.kind != "punct" or t.text not in CMP_OPS:
+        if t.kind not in CMP_OPS:
             raise self.fail("expected a comparison operator")
         self.next()
         right = self.expression(declared)
-        return Cmp(t.text, left, right)  # type: ignore[arg-type]
+        return Cmp(t.kind, left, right)  # type: ignore[arg-type]
 
     def expression(self, declared: set[str]) -> Expr:
         e = self.term(declared)
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.next().text
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
             rhs = self.term(declared)
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
         return e
 
     def term(self, declared: set[str]) -> Expr:
         e = self.factor(declared)
-        while self.at_punct("*"):
+        while self.at("*"):
             star = self.next()
             rhs = self.factor(declared)
             if isinstance(e, Const):
@@ -332,26 +328,23 @@ class _Parser:
         return e
 
     def factor(self, declared: set[str]) -> Expr:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "-":
-            self.next()
+        t = self.next()
+        kind = t.kind
+        if kind == "ident":
+            return self.var_ref(t, declared)
+        if kind == "int":
+            return Const(int(t.text))
+        if kind == "-":
             inner = self.factor(declared)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Mul(-1, inner)
-        if t.kind == "int":
-            self.next()
-            return Const(int(t.text))
-        if t.kind == "ident":
-            self.next()
-            return self.var_ref(t, declared)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        if kind == "(":
             e = self.expression(declared)
-            self.expect("punct", ")")
+            self.expect(")")
             return e
-        raise self.fail(f"expected an expression, found {t.text!r}" if t.kind != "eof"
-                        else "expected an expression, found end of input")
+        raise self.fail(f"expected an expression, found {t.text!r}" if kind != "eof"
+                        else "expected an expression, found end of input", t)
 
 
 def _collect_globals(tokens: list[_Token]) -> dict[str, int]:
@@ -360,12 +353,12 @@ def _collect_globals(tokens: list[_Token]) -> dict[str, int]:
     depth = 0
     i = 0
     while tokens[i].kind != "eof":
-        t = tokens[i]
-        if t.kind == "punct" and t.text == "{":
+        kind = tokens[i].kind
+        if kind == "{":
             depth += 1
-        elif t.kind == "punct" and t.text == "}":
+        elif kind == "}":
             depth = max(0, depth - 1)
-        elif depth == 0 and t.kind == "kw" and t.text == "global":
+        elif depth == 0 and kind == "global":
             if tokens[i + 1].kind == "ident":
                 name = tokens[i + 1].text
                 if name not in out:

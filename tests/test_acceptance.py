@@ -18,7 +18,6 @@ from irqverify import (
     NodeId,
     OracleConfig,
     analyze,
-    analyze_program,
     collect_traces,
     dominators,
     enumerate_executions,
@@ -56,7 +55,7 @@ def criterion(num, label):
 
 
 def verdicts_of(program, pruning=True):
-    report = analyze_program(program, AnalysisConfig(pruning=pruning))
+    report = analyze(program, AnalysisConfig(pruning=pruning)).report
     return {v.assertion_id: v.verdict for v in report.verdicts}
 
 

@@ -8,13 +8,12 @@ from irqverify import (
     OracleConfig,
     analyze,
     analyze_local,
-    analyze_program,
     collect_interferences,
     enumerate_executions,
     leq,
     parse_program,
 )
-from irqverify.analyzer import assert_nodes, plan_handler, prepare
+from irqverify.analyzer import plan_handler, prepare
 from irqverify.cfg import NodeId
 from irqverify.domain import AbstractState, Interval
 from irqverify.ir import Assert
@@ -35,8 +34,8 @@ def verdict_map(report):
 def test_corpus_verdicts_match_expected(corpus_name):
     p = load_corpus(corpus_name)
     expected = load_expected(corpus_name)
-    on = analyze_program(p, AnalysisConfig(pruning=True))
-    off = analyze_program(p, AnalysisConfig(pruning=False))
+    on = analyze(p, AnalysisConfig(pruning=True)).report
+    off = analyze(p, AnalysisConfig(pruning=False)).report
     assert verdict_map(on) == expected["verdicts"]
     assert verdict_map(off) == expected["verdicts_no_pruning"]
     assert {"total": on.pairs_total, "pruned": on.pairs_pruned} == expected["pairs"]
@@ -44,11 +43,11 @@ def test_corpus_verdicts_match_expected(corpus_name):
 
 def test_pair_statistics_detail():
     p = load_corpus("three_priorities")
-    report = analyze_program(p)
+    report = analyze(p).report
     assert (report.pairs_total, report.pairs_pruned) == (3, 1)
     assert report.pairs_ratio == pytest.approx(1 / 3)
     single = parse_program("global x = 0; handler h priority 0 { x = 1; assert(x == 1); }")
-    r = analyze_program(single)
+    r = analyze(single).report
     assert (r.pairs_total, r.pairs_pruned, r.pairs_ratio) == (0, 0, 0.0)
 
 
@@ -148,15 +147,15 @@ def test_collect_interferences_values_and_unreachable_stores():
 
 def test_reports_are_deterministic():
     p = load_corpus("branch_overwrites")
-    a = analyze_program(p)
-    b = analyze_program(p)
+    a = analyze(p).report
+    b = analyze(p).report
     assert a == b
     assert a.to_json() == b.to_json()
 
 
 def test_report_json_schema():
     p = load_corpus("three_priorities")
-    payload = json.loads(analyze_program(p).to_json())
+    payload = json.loads(analyze(p).report.to_json())
     assert list(payload.keys()) == ["verdicts", "pairs", "iterations", "pruning_enabled"]
     assert list(payload["pairs"].keys()) == ["total", "pruned", "ratio"]
     assert payload["pruning_enabled"] is True
@@ -173,7 +172,7 @@ def test_config_validation():
 def test_self_reinvocation_is_modeled():
     # a handler observing its own previous run through a fresh invocation
     p = parse_program("global x = 0; handler h priority 0 { x = x + 1; assert(x <= 1); }")
-    report = analyze_program(p)
+    report = analyze(p).report
     assert verdict_map(report) == {"h#0": "Warning"}
     oracle = enumerate_executions(p, OracleConfig(max_invocations=2))
     assert "h#0" in oracle.violated  # second invocation sees x == 1, stores 2
@@ -181,7 +180,7 @@ def test_self_reinvocation_is_modeled():
 
 def test_cross_round_widening_terminates_unbounded_growth():
     p = parse_program("global x = 0; handler h priority 0 { x = x + 1; }")
-    report = analyze_program(p, AnalysisConfig(max_outer=4))
+    report = analyze(p, AnalysisConfig(max_outer=4)).report
     assert report.iterations <= 10
 
 
@@ -189,7 +188,8 @@ def test_higher_priority_warning_survives_pruning():
     p = load_corpus("branch_overwrites")
     result = analyze(p)
     states = result.node_states
-    nodes = assert_nodes(result.cfgs)
+    nodes = {ins.uid: n for g in result.cfgs for n, ins in g.instr.items()
+             if isinstance(ins, Assert)}
     # the high handler reads y while the medium one may have left y = 0
     assert states[nodes["irq_H#0"]].get("y") == Interval(0, 1)
     # the medium handler's read of x is pinned to 1 by pruning

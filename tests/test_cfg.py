@@ -10,7 +10,7 @@ from progen import random_program
 
 
 def handler_cfg(program, name):
-    return build_cfg(program.handler(name))
+    return build_cfg(next(h for h in program.handlers if h.name == name))
 
 
 def node_of(g, predicate):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -233,6 +234,22 @@ def test_internal_error_exit_four(capsys, monkeypatch):
     assert code == 4
     assert "Traceback" in err
     assert err.splitlines()[-1] == "error: internal error: KeyError('missing')"
+
+
+def test_arg_parser_built_once_per_process(capsys, monkeypatch):
+    builds = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "irqverify":
+            builds.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "facts", str(corpus_path("trace_subset")))
+        assert code == 0 and out
+    assert len(builds) <= 1
 
 
 def test_entry_point_via_module():

@@ -35,7 +35,7 @@ def test_parse_assigns_priorities_and_order():
     p = load_corpus("three_priorities")
     assert [h.name for h in p.handlers] == ["irq_H", "irq_L", "irq_M"]
     assert {h.name: h.priority for h in p.handlers} == {"irq_H": 2, "irq_L": 0, "irq_M": 1}
-    assert p.initial_env() == {"x": 0, "y": 0}
+    assert dict(p.globals) == {"x": 0, "y": 0}
     # three asserts with per-handler ids
     asserts = [st for h in p.handlers for st in h.body if isinstance(st, Assert)]
     assert sorted(a.uid for a in asserts) == ["irq_H#0", "irq_L#0", "irq_M#0"]
@@ -103,7 +103,7 @@ def test_comments_and_whitespace_ignored():
 
 def test_negative_literals():
     p = parse_program("global x = -3; handler h priority 0 { x = -x + -2; }")
-    assert p.initial_env() == {"x": -3}
+    assert dict(p.globals) == {"x": -3}
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

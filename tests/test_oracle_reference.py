@@ -16,14 +16,17 @@ up), on the first 5 programs of the four-handler sweep, and on seeds 0-19
 with thread semantics at budget 1. Like progen's `oracle_budget`, the corpus
 runs give three-handler programs budget 2 under interrupt semantics only: the
 unreduced thread search of `branch_overwrites` at budget 2 alone takes about
-15 s. With traces recorded nothing is reduced, and the traces must be the
-same too. The explored-state counts are pinned: `max_states` counts states,
+15 s. With traces recorded there is no partial-order reduction and the traces
+must be the same too; but the search under test then merges paths that reach
+one state with one trace, so its execution count is that of distinct (end
+state, trace) pairs, at most the copy's count of paths. The explored-state counts are pinned: `max_states` counts states,
 so an encoding that merged or split states would move them.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -363,10 +366,19 @@ def test_matches_unreduced_on_thread_seeds():
 
 @pytest.mark.parametrize("interrupt, enumerate_fn", SEMANTICS, ids=["interrupt", "threads"])
 def test_recorded_traces_are_not_reduced(interrupt, enumerate_fn):
-    # without dedup, thread runs of three handlers exceed the execution ceiling
+    # the copy walks paths, so its thread runs of three handlers exceed the execution ceiling
     config = OracleConfig(max_invocations=1, unroll=2, record_traces=True)
     for name, p in _corpus(two_handlers_only=not interrupt):
-        _check(p, config, interrupt, enumerate_fn, name)
+        want = _Unreduced(p, config, interrupt).run()
+        got = enumerate_fn(p, config)
+        assert replace(got, executions=want.executions) == want, name
+        assert 0 < got.executions <= want.executions, name
+
+
+def test_thread_traces_contain_interrupt_traces():
+    config = OracleConfig(max_invocations=1, unroll=2, record_traces=True)
+    for name, p in _corpus(two_handlers_only=False):
+        assert enumerate_executions(p, config).traces <= thread_enumerate(p, config).traces, name
 
 
 def test_state_ceiling_counts_reduced_states():
