@@ -19,11 +19,13 @@ pairs and loops as sorted `(loop head index, iterations)` pairs. Under
 interrupt semantics the frames are the activation stack, innermost last;
 under thread semantics their order carries no meaning, so they are kept
 sorted and equal states compare equal. Each handler has a step table, built
-once from its graph: row i, for the node of index i, holds the instruction
-kind, the instruction, its successor steps as `(successor index, is back
-edge, index of the loop head it exits or -1)`, the indices of the globals it
-reads, whether it is local-only, and its `NodeId`, which is what flows,
-traces and assertion values report.
+once from its graph: row i, for the node of index i, holds
+- the instruction kind and the instruction;
+- its successor steps as `(successor index, is back edge, index of the loop
+  head it exits or -1)`;
+- the indices of the globals it reads, and whether it is local-only;
+- its `NodeId`, which is what flows, traces and assertion values report;
+- the index of the global it writes, or -1.
 
 Unless traces are recorded, the search applies static partial-order reduction
 with a singleton ample set. A node is local-only when it reads no global,
@@ -39,15 +41,26 @@ offered at that state are then the only way on. The state graph is acyclic
 The reduction keeps every violation, flow, assertion value, truncation and
 distinct end state; it only explores fewer states on the way.
 
+Which handlers may start over an innermost frame of handler h is fixed per
+h: under interrupt semantics those of strictly higher priority, under thread
+semantics all of them; an empty stack offers every handler.
+
 The search visits each scheduler state once. With traces recorded it visits
 each (state, trace so far) pair once instead: two paths that reach the same
 state with the same trace have the same futures, so merging them loses no
 trace, violation or truncation. `executions` then counts distinct (end state,
-trace) pairs rather than paths.
+trace) pairs rather than paths. The order in which states are explored does
+not change what is found, as dedup visits the whole reachable set.
+
+The cyclic garbage collector is paused while the search runs and the
+caller's setting is restored after it. The search builds only acyclic tuples,
+so reference counting frees all of its garbage, and the generation-0
+collections its many small allocations would trigger find nothing to free.
 """
 
 from __future__ import annotations
 
+import gc
 import operator
 from dataclasses import dataclass, replace
 
@@ -120,10 +133,15 @@ class _Enumerator:
         self.interrupt = interrupt
         self.cfgs = cfgs if cfgs is not None else [build_cfg(h) for h in program.handlers]
         self.priorities = [h.priority for h in program.handlers]
-        self.entries = [g.entry.index for g in self.cfgs]
         self.gnames = list(program.global_names())
         self.gidx = {name: i for i, name in enumerate(self.gnames)}
         self.table = [self._rows(g) for g in self.cfgs]
+        # (handler index, entry index) of every handler, and of those that may start over
+        # an innermost frame of handler h
+        self.starts = tuple((h, g.entry.index) for h, g in enumerate(self.cfgs))
+        self.preempt = [tuple(s for s in self.starts
+                              if not interrupt or self.priorities[s[0]] > pr)
+                        for pr in self.priorities]
 
         self.violated: set[str] = set()
         self.flows: set[tuple[NodeId, NodeId, str]] = set()
@@ -148,8 +166,10 @@ class _Enumerator:
                            g.loop_exits[s].index if s in g.loop_exits else -1)
                           for s in g.succs[n])
             reads = tuple(self.gidx[name] for name in node_global_reads(ins))
-            local_only = not reads and node_global_write(ins) is None and kind != _ASSERT
-            rows.append((kind, ins, steps, reads, local_only, n))
+            written = node_global_write(ins)
+            local_only = not reads and written is None and kind != _ASSERT
+            target = self.gidx[written] if written is not None else -1
+            rows.append((kind, ins, steps, reads, local_only, n, target))
         return tuple(rows)
 
     # -- concrete evaluation -------------------------------------------------
@@ -176,8 +196,6 @@ class _Enumerator:
         return _CMP[c.op](self._eval(c.left, genv, locs), self._eval(c.right, genv, locs))
 
     def _record_reads(self, node: NodeId, reads: tuple[int, ...], writers: tuple) -> None:
-        if not self.oc.track_flows:
-            return
         for i in reads:
             w = writers[i]
             if w is not None:
@@ -222,19 +240,22 @@ class _Enumerator:
                     ) -> list[tuple[tuple, tuple[NodeId, ...]]]:
         frames, genv, writers, budgets = st
         h, n, locs, _ = frames[idx]
-        kind, ins, steps, reads, _, node = self.table[h][n]
+        kind, ins, steps, reads, _, node, target = self.table[h][n]
         if kind == _EXIT:
             # removing a frame keeps the thread-semantics order canonical
             return [((frames[:idx] + frames[idx + 1:], genv, writers, budgets), trace)]
         if kind == _SKIP:
             return self._advance(st, idx, steps, locs, genv, writers, trace)
+        track_flows = self.oc.track_flows
         if kind == _ASSUME:
             if type(ins.cond) is not Nondet and not self._eval_cmp(ins.cond, genv, locs):
                 return []
-            self._record_reads(node, reads, writers)
+            if track_flows:
+                self._record_reads(node, reads, writers)
             return self._advance(st, idx, steps, locs, genv, writers, trace)
         if kind == _ASSERT:
-            self._record_reads(node, reads, writers)
+            if track_flows:
+                self._record_reads(node, reads, writers)
             if self.oc.record_assert_values:
                 for v in set(cond_vars(ins.cond)):
                     self.assert_values.add((node, v.name, self._eval(v, genv, locs)))
@@ -245,55 +266,73 @@ class _Enumerator:
             return self._advance(st, idx, steps, locs, genv, writers, trace)
         # an assignment or a havoc: write each value it may produce, then move on
         if kind == _ASSIGN:
-            self._record_reads(node, reads, writers)
+            if track_flows:
+                self._record_reads(node, reads, writers)
             values = (self._eval(ins.expr, genv, locs),)
         else:
             values = HAVOC_VALUES
         if self.oc.record_traces:
             trace += (node,)
-        target = ins.target
         out = []
         for value in values:
-            if target.is_global:
-                i = self.gidx[target.name]
-                out += self._advance(st, idx, steps, locs, genv[:i] + (value,) + genv[i + 1:],
-                                     writers[:i] + (node,) + writers[i + 1:], trace)
+            if target >= 0:
+                out += self._advance(st, idx, steps, locs,
+                                     genv[:target] + (value,) + genv[target + 1:],
+                                     writers[:target] + (node,) + writers[target + 1:], trace)
             else:
-                out += self._advance(st, idx, steps, self._set_local(locs, target.name, value),
+                out += self._advance(st, idx, steps, self._set_local(locs, ins.target.name, value),
                                      genv, writers, trace)
         return out
 
-    def _invocations(self, st: tuple) -> list[tuple]:
+    def _invocations(self, st: tuple, trace: tuple[NodeId, ...], offered: tuple
+                     ) -> list[tuple[tuple, tuple[NodeId, ...]]]:
+        """Start each handler of `offered` that has budget left."""
         frames, genv, writers, budgets = st
-        floor = -1
-        if self.interrupt and frames:
-            floor = self.priorities[frames[-1][0]]
         out = []
-        for h_idx, entry in enumerate(self.entries):
+        for h_idx, entry in offered:
             if budgets[h_idx] == 0:
-                continue
-            if self.interrupt and self.priorities[h_idx] <= floor:
                 continue
             new_budgets = budgets[:h_idx] + (budgets[h_idx] - 1,) + budgets[h_idx + 1:]
             new_frames = frames + ((h_idx, entry, (), ()),)
             if self.interrupt:
-                priorities = [self.priorities[f[0]] for f in new_frames]
-                assert priorities == sorted(priorities) and len(set(priorities)) == len(priorities), \
+                # the inductive step of: the stack is strictly increasing in priority
+                assert not frames or self.priorities[h_idx] > self.priorities[frames[-1][0]], \
                     "activation stack must be strictly increasing in priority"
             else:
                 new_frames = tuple(sorted(new_frames))
-            out.append((new_frames, genv, writers, new_budgets))
+            out.append(((new_frames, genv, writers, new_budgets), trace))
         return out
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> OracleResult:
+        # acyclic tuples only, freed by reference counting: collections would find no garbage
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._search()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        return OracleResult(
+            violated=frozenset(self.violated),
+            flows=frozenset(self.flows),
+            executions=self.executions,
+            truncated=self.truncated,
+            traces=frozenset(self.traces) if self.oc.record_traces else None,
+            assert_values=frozenset(self.assert_values) if self.oc.record_assert_values else None,
+        )
+
+    def _search(self) -> None:
         initial_budgets = tuple(self.oc.max_invocations for _ in self.cfgs)
         init = ((), tuple(v for _, v in self.program.globals),
                 tuple(None for _ in self.gnames), initial_budgets)
         stack: list[tuple[tuple, tuple[NodeId, ...]]] = [(init, ())]
         seen: set[tuple] = set()
+        table, preempt, starts = self.table, self.preempt, self.starts
+        interrupt = self.interrupt
         record_traces = self.oc.record_traces
+        max_states = self.oc.max_states
         states_explored = 0
         while stack:
             item = stack.pop()
@@ -304,30 +343,28 @@ class _Enumerator:
             if len(seen) == size:
                 continue
             states_explored += 1
-            if states_explored > self.oc.max_states:
-                raise OracleLimitError(
-                    f"exceeded {self.oc.max_states} explored scheduler states")
+            if states_explored > max_states:
+                raise OracleLimitError(f"exceeded {max_states} explored scheduler states")
             frames = st[0]
-            choices: list[tuple[tuple, tuple[NodeId, ...]]] = []
             if frames:
-                indices = (len(frames) - 1,) if self.interrupt else range(len(frames))
+                indices = (len(frames) - 1,) if interrupt else range(len(frames))
                 ample_idx = None
                 if not record_traces:
                     # partial-order reduction; see the module docstring
                     for idx in indices:
                         h, n, _, _ = frames[idx]
-                        if self.table[h][n][4]:  # local-only
+                        if table[h][n][4]:  # local-only
                             ample_idx = idx
                             break
                     if ample_idx is not None:
                         ample = self._step_frame(st, trace, ample_idx)
                         if ample:
-                            stack.extend(reversed(ample))
+                            stack.extend(ample)
                             continue
                 # a dead-end ample step adds nothing; the other frames and invocations still may
                 for idx in indices:
                     if idx != ample_idx:
-                        choices.extend(self._step_frame(st, trace, idx))
+                        stack.extend(self._step_frame(st, trace, idx))
             elif st[3] != initial_budgets:
                 # Stack is empty: stopping here is a complete execution.
                 self.executions += 1
@@ -336,16 +373,9 @@ class _Enumerator:
                         f"exceeded {self.oc.max_executions} explored executions")
                 if record_traces:
                     self.traces.add(trace)
-            choices.extend((s2, trace) for s2 in self._invocations(st))
-            stack.extend(reversed(choices))
-        return OracleResult(
-            violated=frozenset(self.violated),
-            flows=frozenset(self.flows),
-            executions=self.executions,
-            truncated=self.truncated,
-            traces=frozenset(self.traces) if self.oc.record_traces else None,
-            assert_values=frozenset(self.assert_values) if self.oc.record_assert_values else None,
-        )
+            offered = preempt[frames[-1][0]] if frames else starts
+            if offered:
+                stack.extend(self._invocations(st, trace, offered))
 
 
 def enumerate_executions(program: Program, config: OracleConfig,

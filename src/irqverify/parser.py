@@ -186,9 +186,14 @@ class _Parser:
         if self.at("-"):
             self.next()
             neg = True
-        tok = self.expect("int")
-        value = int(tok.text)
+        value = self.int_value(self.expect("int"))
         return -value if neg else value
+
+    def int_value(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # beyond the interpreter's integer-string digit limit
+            raise self.fail(f"integer literal too long ({len(tok.text)} digits)", tok) from None
 
     def handler_decl(self) -> Handler:
         self.expect("handler")
@@ -333,7 +338,7 @@ class _Parser:
         if kind == "ident":
             return self.var_ref(t, declared)
         if kind == "int":
-            return Const(int(t.text))
+            return Const(self.int_value(t))
         if kind == "-":
             inner = self.factor(declared)
             if isinstance(inner, Const):

@@ -82,6 +82,17 @@ def test_analyze_bad_config_exit_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+                    reason="the interpreter converts integer strings of any length")
+def test_overlong_integer_literal_is_a_positioned_error(capsys, tmp_path):
+    src = tmp_path / "long.irq"
+    src.write_text("global x = 0; handler h priority 0 { x = " + "1" * 5000 + "; }\n")
+    code, _, err = run_cli(capsys, "analyze", str(src))
+    assert code == 2
+    assert err.startswith("error: 1:42: ")
+    assert "Traceback" not in err
+
+
 DEEP_INPUTS = {
     "long_sum": "global x = 0; handler h priority 0 { x = " + " + ".join(["1"] * 5000) + "; }\n",
     "nested_parens": "global x = 0; handler h priority 0 { x = " + "(" * 3000 + "1"

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -201,3 +202,26 @@ def test_reduction_keeps_invocations_at_a_dead_end_step(enumerate_fn):
                                           record_assert_values=True))
     assert "hi#0" in result.violated
     assert (NodeId("hi", 1), "x", 3) in result.assert_values
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_executions, thread_enumerate])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_search_restores_the_callers_gc_setting(enumerate_fn, enabled):
+    # the search pauses the cyclic collector; it must hand back the caller's setting
+    p = load_corpus("three_priorities")
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        enumerate_fn(p, OracleConfig(max_invocations=1))
+        assert gc.isenabled() is enabled
+        with pytest.raises(OracleLimitError):
+            enumerate_fn(p, OracleConfig(max_invocations=2, max_states=10))
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()

@@ -392,11 +392,17 @@ def test_state_ceiling_counts_reduced_states():
 
 
 def test_explored_state_counts_are_pinned():
-    # counts measured with the NamedTuple-state enumerator these replace
-    p = load_corpus("three_priorities")
-    enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2, max_states=900))
-    with pytest.raises(OracleLimitError):
-        enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2, max_states=899))
+    # 900 and 2,784 were measured with the NamedTuple-state enumerator these
+    # replace, 321 and 2,639 with the step-table search; `loop_store_overwrite`
+    # has a `while (*)` and `branch_overwrites` branches, so both step through
+    # `assume(*)` and join `skip` nodes under interrupt semantics
+    for name, count in [("three_priorities", 900), ("loop_store_overwrite", 321),
+                        ("branch_overwrites", 2_639)]:
+        p = load_corpus(name)
+        enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2, max_states=count))
+        with pytest.raises(OracleLimitError):
+            enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2,
+                                                 max_states=count - 1))
     p = load_corpus("loop_store_overwrite")
     thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_784))
     with pytest.raises(OracleLimitError):
