@@ -15,7 +15,9 @@ outer loop always terminates.
 Each handler is flattened once per `analyze` call into a `HandlerPlan` of
 node indices, read off its CFG and the class table. Node states live in
 per-handler lists indexed like the plan, and the `node_states` map is built
-once at the end.
+once at the end. A handler's local fixpoint is a function of its entry state
+and admitted hulls, so `analyze` looks each one up in a memo first, which
+`compare` shares between its pruned and unpruned analyses.
 
 Handler entry states start from the declared global initializers joined with
 every handler's exit state from the previous round (projected onto the
@@ -54,6 +56,8 @@ from .feasibility import (
 from .ir import Assert, Instr, Program
 
 NodeStates = dict[NodeId, AbstractState]
+#: (handler, widening delay, entry state, admitted hulls) -> `analyze_local`'s states
+LocalMemo = dict[tuple, list[AbstractState]]
 
 
 @dataclass(frozen=True)
@@ -178,18 +182,13 @@ def plan_handler(g: Cfg, feasibility: FeasibilityResult, pruning: bool) -> Handl
     )
 
 
-def analyze_local(plan: HandlerPlan, interference: dict[StoreClass, Interval],
-                  config: AnalysisConfig,
-                  entry_state: AbstractState | None = None) -> list[AbstractState]:
-    """Worklist fixpoint over one handler with a fixed interference environment.
+def admitted_hulls(plan: HandlerPlan, interference: dict[StoreClass, Interval]
+                   ) -> dict[LoadClass, Interval]:
+    """The hull of the `interference` entries each load class of `plan` admits.
 
-    Every read joins into the incoming state the hull of the `interference`
-    entries its load class admits (interval join is an exact, commutative
-    hull, so this equals joining the admitted stores one by one). Widening
-    engages at loop heads after `config.widen_delay` growths, and one
-    descending pass afterwards recovers bounds the widening overshot.
-    Deterministic: FIFO worklist seeded with the entry, successors in node
-    order. Returns the state after each node, by node index.
+    Interval join is an exact, commutative hull, so joining this hull at a
+    read equals joining the admitted stores one by one. A load class that
+    admits no present store class is absent.
     """
     admitted: dict[LoadClass, Interval] = {}
     for load_class, sources in plan.sources.items():
@@ -200,6 +199,21 @@ def analyze_local(plan: HandlerPlan, interference: dict[StoreClass, Interval],
                 hull = iv if hull is None else hull.join(iv)
         if hull is not None:
             admitted[load_class] = hull
+    return admitted
+
+
+def analyze_local(plan: HandlerPlan, admitted: dict[LoadClass, Interval],
+                  config: AnalysisConfig,
+                  entry_state: AbstractState | None = None) -> list[AbstractState]:
+    """Worklist fixpoint over one handler with a fixed interference environment.
+
+    Every read joins into the incoming state the `admitted` hull of its load
+    class (see `admitted_hulls`). Widening engages at loop heads after
+    `config.widen_delay` growths, and one descending pass afterwards recovers
+    bounds the widening overshot. Deterministic: FIFO worklist seeded with
+    the entry, successors in node order. Returns the state after each node,
+    by node index.
+    """
     joins = [tuple((cls[0], admitted[cls]) for cls in node_reads if cls in admitted)
              for node_reads in plan.reads]
     instr = plan.instr
@@ -279,13 +293,26 @@ def prepare(program: Program) -> tuple[list[Cfg], FactBase, FeasibilityResult]:
 
 
 def analyze(program: Program, config: AnalysisConfig | None = None,
-            prepared: tuple[list[Cfg], FactBase, FeasibilityResult] | None = None) -> AnalysisResult:
+            prepared: tuple[list[Cfg], FactBase, FeasibilityResult] | None = None,
+            memo: LocalMemo | None = None) -> AnalysisResult:
     """Run the full modular analysis and keep the internals around.
 
     `prepared` is `prepare(program)`'s result, for callers that analyze one
     program more than once; it is computed here when omitted.
+
+    Every `analyze_local` call is looked up first in `memo`, keyed by handler,
+    widening delay, entry state and admitted hulls. Those are all the call
+    reads: the plan's graph and per-node load classes depend only on the
+    handler and `prepared`, not on `config.pruning`, which enters only through
+    which hulls are admitted. The fixpoint is a deterministic function of
+    values, so a hit returns states equal to the ones a new call would
+    compute. A memo therefore serves every analysis of one program and its
+    `prepared`, with or without pruning, and no other program; a fresh one is
+    made when omitted.
     """
     config = config or AnalysisConfig()
+    if memo is None:
+        memo = {}
     cfgs, facts, feas = prepared if prepared is not None else prepare(program)
 
     global_names = program.global_names()
@@ -309,7 +336,11 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
         interference = {cls: hull for plan, post in zip(plans, states)
                         for cls, hull in collect_interferences(plan, post).items()}
         for plan, post in zip(plans, states):
-            local = analyze_local(plan, interference, config, entry_state)
+            admitted = admitted_hulls(plan, interference)
+            key = (plan.handler, config.widen_delay, entry_state, tuple(admitted.items()))
+            local = memo.get(key)
+            if local is None:
+                local = memo[key] = analyze_local(plan, admitted, config, entry_state)
             for i, state in enumerate(local):
                 old = post[i]
                 new = join(old, state)

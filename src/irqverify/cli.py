@@ -101,11 +101,12 @@ def cmd_facts(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     program = _load(args.path)
     config = AnalysisConfig(widen_delay=args.widen_delay, max_outer=args.max_iters)
-    prepared = prepare(program)
-    pruned = analyze(program, config, prepared)
-    plain = analyze(program, replace(config, pruning=False), prepared)
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
                                  track_flows=False)
+    prepared = prepare(program)
+    memo = {}  # shared: a handler whose admitted hulls pruning leaves unchanged is solved once
+    pruned = analyze(program, config, prepared, memo)
+    plain = analyze(program, replace(config, pruning=False), prepared, memo)
     try:
         oracle_result = enumerate_executions(program, oracle_config, prepared[0])
         violated = oracle_result.violated

@@ -19,13 +19,22 @@ pairs and loops as sorted `(loop head index, iterations)` pairs. Under
 interrupt semantics the frames are the activation stack, innermost last;
 under thread semantics their order carries no meaning, so they are kept
 sorted and equal states compare equal. Each handler has a step table, built
-once from its graph: row i, for the node of index i, holds
-- the instruction kind and the instruction;
+once from its graph: row i, for the node of index i, is the tuple
+- the instruction kind;
+- its evaluator: the expression of an assignment, or the condition of an
+  assumption or assertion (None for `*`), compiled into a function of
+  `(global_env, locals)` that reads globals by index;
 - its successor steps as `(successor index, is back edge, index of the loop
   head it exits or -1)`;
 - the indices of the globals it reads, and whether it is local-only;
 - its `NodeId`, which is what flows, traces and assertion values report;
-- the index of the global it writes, or -1.
+- the index of the global it writes, or -1; and the instruction.
+
+`_search` is the one stepping loop, for both semantics. It pops a stack
+item, steps each frame that may move (or the ample frame alone, see below)
+and starts each handler that may start, pushing every successor straight
+onto the stack. A stack item is the bare state, or `(state, trace so far)`
+when traces are recorded.
 
 Unless traces are recorded, the search applies static partial-order reduction
 with a singleton ample set. A node is local-only when it reads no global,
@@ -63,6 +72,7 @@ from __future__ import annotations
 import gc
 import operator
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .cfg import Cfg, NodeId, build_cfg, node_global_reads, node_global_write
 from .ir import (
@@ -75,6 +85,7 @@ from .ir import (
     Expr,
     Havoc,
     Mul,
+    NONDET,
     Nondet,
     Program,
     Skip,
@@ -117,12 +128,44 @@ class OracleResult:
     assert_values: frozenset[tuple[NodeId, str, int]] | None = None
 
 
-# Instruction kinds of a step-table row; the exit node gets its own kind.
-_EXIT, _SKIP, _ASSUME, _ASSERT, _ASSIGN, _HAVOC = range(6)
-_KINDS = {Skip: _SKIP, Assume: _ASSUME, Assert: _ASSERT, Assign: _ASSIGN, Havoc: _HAVOC}
+# Instruction kinds of a step-table row; the exit node gets its own kind, and a jump
+# is a skip or an assumption. The last three are the nodes a trace lists.
+_EXIT, _JUMP, _ASSERT, _ASSIGN, _HAVOC = range(5)
+_KINDS = {Skip: _JUMP, Assume: _JUMP, Assert: _ASSERT, Assign: _ASSIGN, Havoc: _HAVOC}
 
 _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _compile(e: Expr | Cmp, gidx: dict[str, int]) -> Callable[[tuple, tuple], int | bool]:
+    """`e` as a function of (global_env, locals), evaluating operands left to right.
+
+    Reading an unbound local raises `KeyError`, as a direct walk of `e` would.
+    """
+    t = type(e)
+    if t is Const:
+        value = e.value
+        return lambda g, l: value
+    if t is VarRef:
+        if e.is_global:
+            i = gidx[e.name]
+            return lambda g, l: g[i]
+        name = e.name
+
+        def read_local(g, l):
+            for k, v in l:
+                if k == name:
+                    return v
+            raise KeyError(f"local {name} unbound")
+        return read_local
+    if t is Mul:
+        coeff, arg = e.coeff, _compile(e.arg, gidx)
+        return lambda g, l: coeff * arg(g, l)
+    if t is Add or t is Sub or t is Cmp:
+        left, right = _compile(e.left, gidx), _compile(e.right, gidx)
+        op = _CMP[e.op] if t is Cmp else (operator.add if t is Add else operator.sub)
+        return lambda g, l: op(left(g, l), right(g, l))
+    raise TypeError(f"not an expression: {e!r}")
 
 
 class _Enumerator:
@@ -162,6 +205,8 @@ class _Enumerator:
                 kind = _KINDS[type(ins)]
             else:
                 raise TypeError(f"not executable: {ins!r}")
+            source = ins.expr if kind == _ASSIGN else getattr(ins, "cond", NONDET)
+            ev = None if type(source) is Nondet else _compile(source, self.gidx)
             steps = tuple((s.index, (n, s) in g.back_edges,
                            g.loop_exits[s].index if s in g.loop_exits else -1)
                           for s in g.succs[n])
@@ -169,141 +214,14 @@ class _Enumerator:
             written = node_global_write(ins)
             local_only = not reads and written is None and kind != _ASSERT
             target = self.gidx[written] if written is not None else -1
-            rows.append((kind, ins, steps, reads, local_only, n, target))
+            rows.append((kind, ev, steps, reads, local_only, n, target, ins))
         return tuple(rows)
-
-    # -- concrete evaluation -------------------------------------------------
-
-    def _eval(self, e: Expr, genv: tuple[int, ...], locs: tuple[tuple[str, int], ...]) -> int:
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, VarRef):
-            if e.is_global:
-                return genv[self.gidx[e.name]]
-            for name, value in locs:
-                if name == e.name:
-                    return value
-            raise KeyError(f"local {e.name} unbound")
-        if isinstance(e, Add):
-            return self._eval(e.left, genv, locs) + self._eval(e.right, genv, locs)
-        if isinstance(e, Sub):
-            return self._eval(e.left, genv, locs) - self._eval(e.right, genv, locs)
-        if isinstance(e, Mul):
-            return e.coeff * self._eval(e.arg, genv, locs)
-        raise TypeError(f"not an expression: {e!r}")
-
-    def _eval_cmp(self, c: Cmp, genv, locs) -> bool:
-        return _CMP[c.op](self._eval(c.left, genv, locs), self._eval(c.right, genv, locs))
 
     def _record_reads(self, node: NodeId, reads: tuple[int, ...], writers: tuple) -> None:
         for i in reads:
             w = writers[i]
             if w is not None:
                 self.flows.add((node, w, self.gnames[i]))
-
-    @staticmethod
-    def _set_local(locs: tuple[tuple[str, int], ...], name: str, value: int) -> tuple[tuple[str, int], ...]:
-        kept = tuple((k, v) for k, v in locs if k != name)
-        return tuple(sorted(kept + ((name, value),)))
-
-    # -- stepping -------------------------------------------------------------
-
-    def _advance(self, st: tuple, idx: int, steps: tuple, locs: tuple, genv: tuple,
-                 writers: tuple, trace: tuple[NodeId, ...]) -> list[tuple[tuple, tuple[NodeId, ...]]]:
-        """Move frame `idx` along each of `steps`, honoring the loop unroll bound."""
-        frames = st[0]
-        h, _, _, loops = frames[idx]
-        before, after = frames[:idx], frames[idx + 1:]
-        out = []
-        for succ, back, exited in steps:
-            moved = loops
-            if back:
-                count = 1
-                for head, c in loops:
-                    if head == succ:
-                        count = c + 1
-                if count > self.oc.unroll:
-                    self.truncated = True
-                    continue
-                moved = tuple(sorted([p for p in loops if p[0] != succ] + [(succ, count)]))
-            elif exited >= 0 and loops:
-                # leaving the loop: its iteration count no longer matters
-                moved = tuple(p for p in loops if p[0] != exited)
-            new_frames = before + ((h, succ, locs, moved),) + after
-            if not self.interrupt:
-                # frame order carries no meaning under threads; keep it canonical for dedup
-                new_frames = tuple(sorted(new_frames))
-            out.append(((new_frames, genv, writers, st[3]), trace))
-        return out
-
-    def _step_frame(self, st: tuple, trace: tuple[NodeId, ...], idx: int
-                    ) -> list[tuple[tuple, tuple[NodeId, ...]]]:
-        frames, genv, writers, budgets = st
-        h, n, locs, _ = frames[idx]
-        kind, ins, steps, reads, _, node, target = self.table[h][n]
-        if kind == _EXIT:
-            # removing a frame keeps the thread-semantics order canonical
-            return [((frames[:idx] + frames[idx + 1:], genv, writers, budgets), trace)]
-        if kind == _SKIP:
-            return self._advance(st, idx, steps, locs, genv, writers, trace)
-        track_flows = self.oc.track_flows
-        if kind == _ASSUME:
-            if type(ins.cond) is not Nondet and not self._eval_cmp(ins.cond, genv, locs):
-                return []
-            if track_flows:
-                self._record_reads(node, reads, writers)
-            return self._advance(st, idx, steps, locs, genv, writers, trace)
-        if kind == _ASSERT:
-            if track_flows:
-                self._record_reads(node, reads, writers)
-            if self.oc.record_assert_values:
-                for v in set(cond_vars(ins.cond)):
-                    self.assert_values.add((node, v.name, self._eval(v, genv, locs)))
-            if not self._eval_cmp(ins.cond, genv, locs):
-                self.violated.add(ins.uid)
-            if self.oc.record_traces:
-                trace += (node,)
-            return self._advance(st, idx, steps, locs, genv, writers, trace)
-        # an assignment or a havoc: write each value it may produce, then move on
-        if kind == _ASSIGN:
-            if track_flows:
-                self._record_reads(node, reads, writers)
-            values = (self._eval(ins.expr, genv, locs),)
-        else:
-            values = HAVOC_VALUES
-        if self.oc.record_traces:
-            trace += (node,)
-        out = []
-        for value in values:
-            if target >= 0:
-                out += self._advance(st, idx, steps, locs,
-                                     genv[:target] + (value,) + genv[target + 1:],
-                                     writers[:target] + (node,) + writers[target + 1:], trace)
-            else:
-                out += self._advance(st, idx, steps, self._set_local(locs, ins.target.name, value),
-                                     genv, writers, trace)
-        return out
-
-    def _invocations(self, st: tuple, trace: tuple[NodeId, ...], offered: tuple
-                     ) -> list[tuple[tuple, tuple[NodeId, ...]]]:
-        """Start each handler of `offered` that has budget left."""
-        frames, genv, writers, budgets = st
-        out = []
-        for h_idx, entry in offered:
-            if budgets[h_idx] == 0:
-                continue
-            new_budgets = budgets[:h_idx] + (budgets[h_idx] - 1,) + budgets[h_idx + 1:]
-            new_frames = frames + ((h_idx, entry, (), ()),)
-            if self.interrupt:
-                # the inductive step of: the stack is strictly increasing in priority
-                assert not frames or self.priorities[h_idx] > self.priorities[frames[-1][0]], \
-                    "activation stack must be strictly increasing in priority"
-            else:
-                new_frames = tuple(sorted(new_frames))
-            out.append(((new_frames, genv, writers, new_budgets), trace))
-        return out
-
-    # -- main loop -------------------------------------------------------------
 
     def run(self) -> OracleResult:
         # acyclic tuples only, freed by reference counting: collections would find no garbage
@@ -324,58 +242,138 @@ class _Enumerator:
         )
 
     def _search(self) -> None:
-        initial_budgets = tuple(self.oc.max_invocations for _ in self.cfgs)
+        oc = self.oc
+        initial_budgets = tuple(oc.max_invocations for _ in self.cfgs)
         init = ((), tuple(v for _, v in self.program.globals),
                 tuple(None for _ in self.gnames), initial_budgets)
-        stack: list[tuple[tuple, tuple[NodeId, ...]]] = [(init, ())]
+        table, preempt, starts, gidx = self.table, self.preempt, self.starts, self.gidx
+        interrupt, unroll, track_flows = self.interrupt, oc.unroll, oc.track_flows
+        record_traces, record_assert_values = oc.record_traces, oc.record_assert_values
+        max_states = oc.max_states
+        stack: list[tuple] = [(init, ()) if record_traces else init]
+        push = stack.append
         seen: set[tuple] = set()
-        table, preempt, starts = self.table, self.preempt, self.starts
-        interrupt = self.interrupt
-        record_traces = self.oc.record_traces
-        max_states = self.oc.max_states
+        trace: tuple[NodeId, ...] = ()
         states_explored = 0
         while stack:
             item = stack.pop()
-            st, trace = item
             # add-then-compare hashes the nested state once, not twice
             size = len(seen)
-            seen.add(item if record_traces else st)
+            seen.add(item)
             if len(seen) == size:
                 continue
             states_explored += 1
             if states_explored > max_states:
                 raise OracleLimitError(f"exceeded {max_states} explored scheduler states")
-            frames = st[0]
+            if record_traces:
+                st, trace = item
+            else:
+                st = item
+            frames, genv, writers, budgets = st
             if frames:
-                indices = (len(frames) - 1,) if interrupt else range(len(frames))
-                ample_idx = None
+                order = (len(frames) - 1,) if interrupt else range(len(frames))
+                ample = False
                 if not record_traces:
                     # partial-order reduction; see the module docstring
-                    for idx in indices:
+                    for idx in order:
                         h, n, _, _ = frames[idx]
-                        if table[h][n][4]:  # local-only
-                            ample_idx = idx
+                        if table[h][n][4]:  # local-only: step this frame first, and alone
+                            ample = True
+                            if idx != order[0]:  # threads only: the others follow in order
+                                order = (idx, *range(idx), *range(idx + 1, len(frames)))
                             break
-                    if ample_idx is not None:
-                        ample = self._step_frame(st, trace, ample_idx)
-                        if ample:
-                            stack.extend(ample)
-                            continue
-                # a dead-end ample step adds nothing; the other frames and invocations still may
-                for idx in indices:
-                    if idx != ample_idx:
-                        stack.extend(self._step_frame(st, trace, idx))
-            elif st[3] != initial_budgets:
+                mark = len(stack)
+                for idx in order:
+                    h, n, locs, loops = frames[idx]
+                    kind, ev, steps, reads, _, node, target, ins = table[h][n]
+                    rest = frames[:idx] if interrupt else frames[:idx] + frames[idx + 1:]
+                    if kind == _EXIT:
+                        # removing a frame keeps the thread-semantics order canonical
+                        done = (rest, genv, writers, budgets)
+                        push((done, trace) if record_traces else done)
+                        outs = ()
+                    elif kind == _JUMP:
+                        outs = ((genv, writers, locs),) if ev is None or ev(genv, locs) else ()
+                        if outs and track_flows:
+                            self._record_reads(node, reads, writers)
+                    elif kind == _ASSERT:
+                        if track_flows:
+                            self._record_reads(node, reads, writers)
+                        if record_assert_values:
+                            for v in set(cond_vars(ins.cond)):
+                                value = _compile(v, gidx)(genv, locs)
+                                self.assert_values.add((node, v.name, value))
+                        if not ev(genv, locs):
+                            self.violated.add(ins.uid)
+                        outs = ((genv, writers, locs),)
+                    else:
+                        # an assignment or a havoc: write each value it may produce
+                        if kind == _ASSIGN:
+                            if track_flows:
+                                self._record_reads(node, reads, writers)
+                            values = (ev(genv, locs),)
+                        else:
+                            values = HAVOC_VALUES
+                        if target >= 0:
+                            written = writers[:target] + (node,) + writers[target + 1:]
+                            outs = [(genv[:target] + (value,) + genv[target + 1:], written, locs)
+                                    for value in values]
+                        else:
+                            name = ins.target.name
+                            kept = [p for p in locs if p[0] != name]
+                            outs = [(genv, writers, tuple(sorted(kept + [(name, value)])))
+                                    for value in values]
+                    next_trace = trace + (node,) if record_traces and kind >= _ASSERT else trace
+                    for genv2, writers2, locs2 in outs:
+                        for succ, back, exited in steps:
+                            moved = loops
+                            if back:
+                                count = 1 + next((c for head, c in loops if head == succ), 0)
+                                if count > unroll:
+                                    self.truncated = True
+                                    continue
+                                moved = tuple(sorted([p for p in loops if p[0] != succ]
+                                                     + [(succ, count)]))
+                            elif exited >= 0 and loops:
+                                # leaving the loop: its iteration count no longer matters
+                                moved = tuple(p for p in loops if p[0] != exited)
+                            frame = (h, succ, locs2, moved)
+                            if interrupt:
+                                new_frames = rest + (frame,)
+                            else:
+                                # frame order carries no meaning under threads; keep it sorted
+                                new_frames = tuple(sorted(rest + (frame,)))
+                            nxt = (new_frames, genv2, writers2, budgets)
+                            push((nxt, next_trace) if record_traces else nxt)
+                    if ample:
+                        if len(stack) > mark:
+                            break
+                        # a dead-end ample step adds nothing; the other moves still may
+                        ample = False
+                if ample:
+                    continue
+            elif budgets != initial_budgets:
                 # Stack is empty: stopping here is a complete execution.
                 self.executions += 1
-                if self.executions > self.oc.max_executions:
-                    raise OracleLimitError(
-                        f"exceeded {self.oc.max_executions} explored executions")
+                if self.executions > oc.max_executions:
+                    raise OracleLimitError(f"exceeded {oc.max_executions} explored executions")
                 if record_traces:
                     self.traces.add(trace)
-            offered = preempt[frames[-1][0]] if frames else starts
-            if offered:
-                stack.extend(self._invocations(st, trace, offered))
+            # start each handler that may run now and has budget left
+            for h, entry in (preempt[frames[-1][0]] if frames else starts):
+                left = budgets[h]
+                if not left:
+                    continue
+                frame = (h, entry, (), ())
+                if interrupt:
+                    # the inductive step of: the stack is strictly increasing in priority
+                    assert not frames or self.priorities[h] > self.priorities[frames[-1][0]], \
+                        "activation stack must be strictly increasing in priority"
+                    new_frames = frames + (frame,)
+                else:
+                    new_frames = tuple(sorted(frames + (frame,)))
+                nxt = (new_frames, genv, writers, budgets[:h] + (left - 1,) + budgets[h + 1:])
+                push((nxt, trace) if record_traces else nxt)
 
 
 def enumerate_executions(program: Program, config: OracleConfig,

@@ -13,7 +13,7 @@ from irqverify import (
     leq,
     parse_program,
 )
-from irqverify.analyzer import plan_handler, prepare
+from irqverify.analyzer import admitted_hulls, plan_handler, prepare
 from irqverify.cfg import NodeId
 from irqverify.domain import AbstractState, Interval
 from irqverify.ir import Assert
@@ -63,8 +63,9 @@ def handler_plan(program, handler, pruning=True):
 
 
 def local_states(plan, interference, entry):
-    """analyze_local on a plan, as a node -> state map."""
-    return dict(zip(plan.nodes, analyze_local(plan, interference, AnalysisConfig(), entry)))
+    """analyze_local on a plan and the hulls it admits of `interference`, as a node -> state map."""
+    admitted = admitted_hulls(plan, interference)
+    return dict(zip(plan.nodes, analyze_local(plan, admitted, AnalysisConfig(), entry)))
 
 
 def test_local_analysis_without_interference_is_sequential():
@@ -207,6 +208,51 @@ def test_pruning_refines_on_corpus_and_random_programs():
         proved_without = {v.assertion_id for v in without.report.verdicts if v.verdict == "Proved"}
         proved_with = {v.assertion_id for v in with_pruning.report.verdicts if v.verdict == "Proved"}
         assert proved_without <= proved_with
+
+
+class _NoMemo(dict):
+    """A memo that keeps nothing, so every `analyze_local` call runs."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_shared_memo_is_exact():
+    # compare's two analyses share one memo, and a third with another widening delay
+    # joins them here; each must equal a run that computes every call
+    programs = [(name, load_corpus(name)) for name in CORPUS_NAMES]
+    programs += [(f"progen seed {seed}", random_program(random.Random(seed))) for seed in range(200)]
+    configs = [AnalysisConfig(), AnalysisConfig(pruning=False), AnalysisConfig(widen_delay=1)]
+    for label, p in programs:
+        prepared = prepare(p)
+        memo = {}
+        for config in configs:
+            shared = analyze(p, config, prepared, memo)
+            alone = analyze(p, config, prepared, _NoMemo())
+            assert shared.report == alone.report, (label, config)
+            assert shared.node_states == alone.node_states, (label, config)
+
+
+@pytest.mark.parametrize("name", ["covered_only", "uncovered_pair"])
+def test_shared_memo_skips_the_plain_fixpoint_when_nothing_is_pruned(name, monkeypatch):
+    import irqverify.analyzer as analyzer_mod
+
+    calls = []
+    real = analyzer_mod.analyze_local
+
+    def counted(*args):
+        calls.append(args[0].handler)
+        return real(*args)
+
+    monkeypatch.setattr(analyzer_mod, "analyze_local", counted)
+    p = load_corpus(name)
+    prepared = prepare(p)
+    memo = {}
+    pruned = analyze(p, AnalysisConfig(), prepared, memo)
+    assert pruned.report.pairs_pruned == 0 and calls
+    calls.clear()
+    analyze(p, AnalysisConfig(pruning=False), prepared, memo)
+    assert calls == []
 
 
 def test_analysis_sound_against_oracle_on_corpus():

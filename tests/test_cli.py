@@ -210,6 +210,17 @@ def test_compare_oracle_ceiling_marks_skipped(capsys, tmp_path, monkeypatch):
     assert all(row["oracle"] == "skipped" for row in payload["rows"])
 
 
+def test_compare_checks_oracle_bounds_before_analyzing(capsys, monkeypatch):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("compare analyzed before it checked its oracle flags")
+
+    monkeypatch.setattr("irqverify.cli.analyze", no_analysis)
+    code, out, err = run_cli(capsys, "compare", "--unroll", "0",
+                             str(corpus_path("three_priorities")))
+    assert (code, out) == (2, "")
+    assert err == "error: oracle bounds must be at least 1\n"
+
+
 def test_compare_builds_graphs_once(capsys, monkeypatch):
     def rebuild(handler):
         raise AssertionError("the oracle rebuilt a graph that prepare had built")

@@ -20,7 +20,9 @@ unreduced thread search of `branch_overwrites` at budget 2 alone takes about
 must be the same too; but the search under test then merges paths that reach
 one state with one trace, so its execution count is that of distinct (end
 state, trace) pairs, at most the copy's count of paths. The explored-state counts are pinned: `max_states` counts states,
-so an encoding that merged or split states would move them.
+so an encoding that merged or split states would move them. The evaluators
+the step table compiles are checked against the copy's `_eval` and
+`_eval_cmp` on every row of progen seeds 0-199.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ from irqverify.ir import (
     Sub,
     VarRef,
     cond_vars,
+    instr_reads,
 )
-from irqverify.oracle import HAVOC_VALUES, OracleResult
+from irqverify.oracle import HAVOC_VALUES, OracleResult, _Enumerator
 
 from conftest import CORPUS_NAMES, load_corpus
 from progen import oracle_budget, random_program
@@ -407,3 +410,41 @@ def test_explored_state_counts_are_pinned():
     thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_784))
     with pytest.raises(OracleLimitError):
         thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_783))
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except KeyError as exc:
+        return ("KeyError", str(exc))
+
+
+def test_compiled_evaluators_match_the_reference_walk():
+    # every evaluator row of progen seeds 0-199, against the copy's walk of its AST,
+    # with some locals left unbound
+    shapes = {"negative Mul": 0, "Sub": 0, "unbound local": 0}
+    for seed in range(200):
+        p = random_program(random.Random(seed))
+        reference = _Unreduced(p, OracleConfig(), True)
+        rng = random.Random(seed)
+        for rows in _Enumerator(p, OracleConfig(), interrupt=True).table:
+            for row in rows:
+                ev, ins = row[1], row[-1]
+                if ev is None:
+                    continue
+                if isinstance(ins, Assign):
+                    walk, source = reference._eval, ins.expr
+                else:
+                    walk, source = reference._eval_cmp, ins.cond
+                text = repr(source)
+                shapes["negative Mul"] += "coeff=-" in text
+                shapes["Sub"] += "Sub(" in text
+                local_names = sorted({v.name for v in instr_reads(ins) if not v.is_global})
+                for _ in range(4):
+                    genv = tuple(rng.randint(-9, 9) for _ in reference.gnames)
+                    locs = tuple((name, rng.randint(-9, 9)) for name in local_names
+                                 if rng.random() < 0.8)
+                    want = _outcome(lambda: walk(source, genv, locs))
+                    assert _outcome(lambda: ev(genv, locs)) == want, (seed, ins, genv, locs)
+                    shapes["unbound local"] += isinstance(want, tuple)
+    assert all(shapes.values()), shapes
