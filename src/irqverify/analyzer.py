@@ -12,12 +12,13 @@ its load class admits. Rounds repeat until no node state changes; after the
 configured number of rounds the merge switches from join to widening so the
 outer loop always terminates.
 
-Each handler is flattened once per `analyze` call into a `HandlerPlan` of
-node indices, read off its CFG and the class table. Node states live in
-per-handler lists indexed like the plan, and the `node_states` map is built
-once at the end. A handler's local fixpoint is a function of its entry state
-and admitted hulls, so `analyze` looks each one up in a memo first, which
-`compare` shares between its pruned and unpruned analyses.
+The fixpoint walks each handler's index-based graph directly. Once per
+`analyze` call, a `HandlerPlan` pairs the graph with what the class table
+says of its nodes. Node states live in per-handler lists indexed like the
+graph, and the `node_states` map is built once at the end. A handler's local
+fixpoint is a function of its entry state and admitted hulls, so `analyze`
+looks each one up in a memo first, which `compare` shares between its pruned
+and unpruned analyses.
 
 Handler entry states start from the declared global initializers joined with
 every handler's exit state from the previous round (projected onto the
@@ -53,7 +54,7 @@ from .feasibility import (
     extract_facts,
     must_not_read_from,
 )
-from .ir import Assert, Instr, Program
+from .ir import Assert, Program
 
 NodeStates = dict[NodeId, AbstractState]
 #: (handler, widening delay, entry state, admitted hulls) -> `analyze_local`'s states
@@ -124,34 +125,27 @@ class AnalysisResult:
 
 @dataclass(frozen=True)
 class HandlerPlan:
-    """One handler's graph as node indices, with each node's access classes.
+    """One handler's graph with what the class table says of its nodes.
 
-    Built once per `analyze` call. Index i is the node `nodes[i]`. A read is
-    kept as its load class and a store as its store class, because the
+    Built once per `analyze` call and indexed like the graph: node i is
+    `graph.nodes[i]`, the entry is node 0 and the exit the last node. A read
+    is kept as its load class and a store as its store class, because the
     rejection rules see nothing else of either. Class keys are the objects of
     the feasibility class table.
     """
 
-    handler: str
-    nodes: tuple[NodeId, ...]
-    instr: tuple[Instr, ...]
-    preds: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[int, ...], ...]
-    loop_head: tuple[bool, ...]
+    graph: Cfg
     reads: tuple[tuple[LoadClass, ...], ...]  # per node, its load classes
     stores: tuple[tuple[int, StoreClass], ...]  # (store node, its store class), by node index
     sources: dict[LoadClass, tuple[StoreClass, ...]]  # load class -> the store classes it admits
-    entry: int
-    exit: int
 
 
 def plan_handler(g: Cfg, feasibility: FeasibilityResult, pruning: bool) -> HandlerPlan:
-    """Flatten g and read its load classes, store sites and admitted sources off the class table.
+    """Read g's load classes, store sites and admitted sources off the class table.
 
     A load class admits every other handler's store class of its variable
     except, with `pruning`, the ones it must not read from.
     """
-    index = {n: i for i, n in enumerate(g.nodes)}
     reads: list[list[LoadClass]] = [[] for _ in g.nodes]
     sources: dict[LoadClass, tuple[StoreClass, ...]] = {}
     for load_class, loads in feasibility.load_classes.items():
@@ -159,27 +153,16 @@ def plan_handler(g: Cfg, feasibility: FeasibilityResult, pruning: bool) -> Handl
         if handler != g.handler:
             continue
         for n in loads:
-            reads[index[n]].append(load_class)
+            reads[n.index].append(load_class)
         rejected = feasibility.rejected[load_class] if pruning else ()
         sources[load_class] = tuple(
             store_class for store_class in feasibility.store_classes.get(v, {})
             if store_class[1] != handler and store_class not in rejected)
-    stores = sorted((index[s], store_class) for classes in feasibility.store_classes.values()
+    stores = sorted((s.index, store_class) for classes in feasibility.store_classes.values()
                     for store_class, sites in classes.items() if store_class[1] == g.handler
                     for s in sites)
-    return HandlerPlan(
-        handler=g.handler,
-        nodes=g.nodes,
-        instr=tuple(g.instr[n] for n in g.nodes),
-        preds=tuple(tuple(index[p] for p in g.preds[n]) for n in g.nodes),
-        succs=tuple(tuple(index[s] for s in g.succs[n]) for n in g.nodes),
-        loop_head=tuple(n in g.loop_heads for n in g.nodes),
-        reads=tuple(map(tuple, reads)),
-        stores=tuple(stores),
-        sources=sources,
-        entry=index[g.entry],
-        exit=index[g.exit],
-    )
+    return HandlerPlan(graph=g, reads=tuple(map(tuple, reads)), stores=tuple(stores),
+                       sources=sources)
 
 
 def admitted_hulls(plan: HandlerPlan, interference: dict[StoreClass, Interval]
@@ -211,20 +194,19 @@ def analyze_local(plan: HandlerPlan, admitted: dict[LoadClass, Interval],
     class (see `admitted_hulls`). Widening engages at loop heads after
     `config.widen_delay` growths, and one descending pass afterwards recovers
     bounds the widening overshot. Deterministic: FIFO worklist seeded with
-    the entry, successors in node order. Returns the state after each node,
-    by node index.
+    the entry, node 0, and successors in node order. Returns the state after
+    each node, by node index.
     """
     joins = [tuple((cls[0], admitted[cls]) for cls in node_reads if cls in admitted)
              for node_reads in plan.reads]
-    instr = plan.instr
-    preds = plan.preds
-    entry_index = plan.entry
+    g = plan.graph
+    instr, preds, succs, loop_heads = g.instr, g.preds, g.succs, g.loop_heads
     entry = entry_state if entry_state is not None else AbstractState.top()
     bottom = AbstractState.bottom()
 
     def output(i: int) -> AbstractState:
         """The state after node i, from its predecessors' current states."""
-        if i == entry_index:
+        if i == 0:
             s = entry
         else:
             ps = preds[i]  # every node but the entry has one
@@ -237,11 +219,11 @@ def analyze_local(plan: HandlerPlan, admitted: dict[LoadClass, Interval],
             s = s.set(name, s.get(name).join(incoming))
         return transfer(instr[i], s)
 
-    post = [bottom] * len(plan.nodes)
-    growths = [0] * len(plan.nodes)
-    queued = [False] * len(plan.nodes)
-    pending = deque([plan.entry])
-    queued[plan.entry] = True
+    post = [bottom] * len(instr)
+    growths = [0] * len(instr)
+    queued = [False] * len(instr)
+    pending = deque([0])
+    queued[0] = True
     while pending:
         i = pending.popleft()
         queued[i] = False
@@ -251,12 +233,12 @@ def analyze_local(plan: HandlerPlan, admitted: dict[LoadClass, Interval],
             # The output adds nothing (join returns `old` exactly then): no
             # growth, and widening `old` by itself would not change it.
             continue
-        if plan.loop_head[i]:
+        if i in loop_heads:
             growths[i] += 1
             if growths[i] > config.widen_delay:
                 out = widen(old, out)
         post[i] = out
-        for s in plan.succs[i]:
+        for s in succs[i]:
             if not queued[s]:
                 pending.append(s)
                 queued[s] = True
@@ -320,7 +302,7 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
 
     plans = [plan_handler(g, feas, config.pruning) for g in cfgs]
     bottom = AbstractState.bottom()
-    states = [[bottom] * len(plan.nodes) for plan in plans]
+    states = [[bottom] * len(g.nodes) for g in cfgs]
     iterations = 0
     changed = True
     while changed:
@@ -329,15 +311,15 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
         # Entry state and interference come from the previous round's states:
         # both are taken before any handler of this round updates its list.
         exit_join = bottom
-        for plan, post in zip(plans, states):
-            exit_join = join(exit_join, post[plan.exit].restrict(global_names))
+        for post in states:  # the exit is each graph's last node
+            exit_join = join(exit_join, post[-1].restrict(global_names))
         entry_state = join(init_state, exit_join)
 
         interference = {cls: hull for plan, post in zip(plans, states)
                         for cls, hull in collect_interferences(plan, post).items()}
         for plan, post in zip(plans, states):
             admitted = admitted_hulls(plan, interference)
-            key = (plan.handler, config.widen_delay, entry_state, tuple(admitted.items()))
+            key = (plan.graph.handler, config.widen_delay, entry_state, tuple(admitted.items()))
             local = memo.get(key)
             if local is None:
                 local = memo[key] = analyze_local(plan, admitted, config, entry_state)
@@ -350,13 +332,13 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
                 changed = True
 
     verdicts: list[VerdictEntry] = []
-    for plan, post in zip(plans, states):
-        for ins, state in zip(plan.instr, post):
+    for g, post in zip(cfgs, states):
+        for ins, state in zip(g.instr, post):
             if isinstance(ins, Assert):
                 v = check_assert(ins.cond, state)
                 verdicts.append(VerdictEntry(
                     assertion_id=ins.uid,
-                    handler=plan.handler,
+                    handler=g.handler,
                     verdict="Proved" if v is Verdict.PROVED else "Warning",
                 ))
 
@@ -367,7 +349,7 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
         pairs_pruned=feas.pairs_pruned,
         pruning_enabled=config.pruning,
     )
-    node_states: NodeStates = {n: state for plan, post in zip(plans, states)
-                               for n, state in zip(plan.nodes, post)}
+    node_states: NodeStates = {n: state for g, post in zip(cfgs, states)
+                               for n, state in zip(g.nodes, post)}
     return AnalysisResult(report=report, node_states=node_states, facts=facts,
                           feasibility=feas, cfgs=cfgs)

@@ -4,7 +4,8 @@ Each handler lowers to a graph carrying one instruction per node. Branches
 become diamonds whose arms start with `assume` nodes (the negated condition on
 the else arm); loops become a skip "head" node with an assume-guarded body
 returning to the head over a back edge. Synthetic skip nodes serve as the
-entry, the single exit, and branch join points.
+entry, the single exit, and branch join points. Nodes are numbered in the
+order they are created, and the graph names them by that index.
 """
 
 from __future__ import annotations
@@ -43,17 +44,30 @@ class NodeId(NamedTuple):
 
 @dataclass(frozen=True)
 class Cfg:
+    """One handler's control-flow graph, indexed by node.
+
+    Node i is `nodes[i]`, and `instr`, `succs` and `preds` are indexed the same
+    way, with each node's successors and predecessors ascending. The entry is
+    node 0 and the single exit is the last node. Loop heads, back edges and
+    loop exits name nodes by index too.
+    """
+
     handler: str
-    entry: NodeId
-    exit: NodeId
-    nodes: tuple[NodeId, ...]  # creation order: entry first, exit last
-    edges: frozenset[tuple[NodeId, NodeId]]
-    instr: dict[NodeId, Instr]
-    loop_heads: frozenset[NodeId]
-    back_edges: frozenset[tuple[NodeId, NodeId]]
-    loop_exits: dict[NodeId, NodeId]  # exit-arm assume node -> its loop head
-    succs: dict[NodeId, tuple[NodeId, ...]]
-    preds: dict[NodeId, tuple[NodeId, ...]]
+    nodes: tuple[NodeId, ...]
+    instr: tuple[Instr, ...]
+    succs: tuple[tuple[int, ...], ...]
+    preds: tuple[tuple[int, ...], ...]
+    loop_heads: frozenset[int]
+    back_edges: frozenset[tuple[int, int]]
+    loop_exits: dict[int, int]  # exit-arm assume node -> its loop head
+
+    @property
+    def entry(self) -> NodeId:
+        return self.nodes[0]
+
+    @property
+    def exit(self) -> NodeId:
+        return self.nodes[-1]
 
 
 @dataclass(frozen=True)
@@ -65,29 +79,27 @@ class AccessInfo:
 
 
 class _Builder:
-    def __init__(self, handler: str):
-        self.handler = handler
-        self.instr: dict[NodeId, Instr] = {}
-        self.edges: set[tuple[NodeId, NodeId]] = set()
-        self.loop_heads: set[NodeId] = set()
-        self.back_edges: set[tuple[NodeId, NodeId]] = set()
-        self.loop_exits: dict[NodeId, NodeId] = {}
+    def __init__(self):
+        self.instr: list[Instr] = []
+        self.edges: set[tuple[int, int]] = set()
+        self.loop_heads: set[int] = set()
+        self.back_edges: set[tuple[int, int]] = set()
+        self.loop_exits: dict[int, int] = {}
 
-    def add(self, ins: Instr) -> NodeId:
-        n = NodeId(self.handler, len(self.instr))
-        self.instr[n] = ins
-        return n
+    def add(self, ins: Instr) -> int:
+        self.instr.append(ins)
+        return len(self.instr) - 1
 
-    def connect(self, sources: Iterable[NodeId], target: NodeId) -> None:
+    def connect(self, sources: Iterable[int], target: int) -> None:
         for s in sources:
             self.edges.add((s, target))
 
-    def lower_seq(self, stmts: tuple[Stmt, ...], tails: list[NodeId]) -> list[NodeId]:
+    def lower_seq(self, stmts: tuple[Stmt, ...], tails: list[int]) -> list[int]:
         for st in stmts:
             tails = self.lower(st, tails)
         return tails
 
-    def lower(self, st: Stmt, tails: list[NodeId]) -> list[NodeId]:
+    def lower(self, st: Stmt, tails: list[int]) -> list[int]:
         if isinstance(st, (Assign, Havoc, Assert, Skip, Assume)):
             n = self.add(st)
             self.connect(tails, n)
@@ -125,46 +137,42 @@ def build_cfg(handler: Handler) -> Cfg:
     Adds a synthetic entry and a synthetic single exit; every node is
     reachable from the entry and reaches the exit.
     """
-    b = _Builder(handler.name)
+    b = _Builder()
     entry = b.add(Skip())
     tails = b.lower_seq(handler.body, [entry])
-    exit_ = b.add(Skip())
-    b.connect(tails, exit_)
+    b.connect(tails, b.add(Skip()))
 
-    nodes = tuple(sorted(b.instr, key=lambda n: n.index))
-    succs: dict[NodeId, tuple[NodeId, ...]] = {n: () for n in nodes}
-    preds: dict[NodeId, tuple[NodeId, ...]] = {n: () for n in nodes}
+    succs: list[list[int]] = [[] for _ in b.instr]
+    preds: list[list[int]] = [[] for _ in b.instr]
     for s, t in sorted(b.edges):
-        succs[s] += (t,)
-        preds[t] += (s,)
+        succs[s].append(t)
+        preds[t].append(s)
     return Cfg(
         handler=handler.name,
-        entry=entry,
-        exit=exit_,
-        nodes=nodes,
-        edges=frozenset(b.edges),
-        instr=b.instr,
+        nodes=tuple(NodeId(handler.name, i) for i in range(len(b.instr))),
+        instr=tuple(b.instr),
+        succs=tuple(map(tuple, succs)),
+        preds=tuple(map(tuple, preds)),
         loop_heads=frozenset(b.loop_heads),
         back_edges=frozenset(b.back_edges),
-        loop_exits=dict(b.loop_exits),
-        succs=succs,
-        preds=preds,
+        loop_exits=b.loop_exits,
     )
 
 
-def _dominance(order: tuple[NodeId, ...], root: NodeId,
-               edges_into: dict[NodeId, tuple[NodeId, ...]]) -> dict[NodeId, int]:
-    """Iterative dataflow dom(n) = {n} | AND of dom(preds); bit i is the node of index i."""
-    every = (1 << len(order)) - 1
-    dom = {n: (1 << n.index if n == root else every) for n in order}
+def _dominance(order: range, edges_into: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Iterative dataflow dom(n) = {n} | AND of dom(edges_into[n]), rooted at order[0].
+
+    Bit i of a mask is node i.
+    """
+    root = order[0]
+    dom = [(1 << len(order)) - 1] * len(order)
+    dom[root] = 1 << root
     changed = True
     while changed:
         changed = False
-        for n in order:
-            if n == root:
-                continue
+        for n in order[1:]:
             incoming = [dom[p] for p in edges_into[n]]
-            new = 1 << n.index | (reduce(int.__and__, incoming) if incoming else 0)
+            new = 1 << n | (reduce(int.__and__, incoming) if incoming else 0)
             if new != dom[n]:
                 dom[n] = new
                 changed = True
@@ -179,12 +187,12 @@ def dominance_pairs(masks: dict[NodeId, int]) -> frozenset[tuple[NodeId, NodeId]
 
 def dominators(g: Cfg) -> dict[NodeId, int]:
     """Per node b, the mask of every a on all entry-to-b paths; reflexive."""
-    return _dominance(g.nodes, g.entry, g.preds)
+    return dict(zip(g.nodes, _dominance(range(len(g.nodes)), g.preds)))
 
 
 def post_dominators(g: Cfg) -> dict[NodeId, int]:
     """Dual of `dominators` over reversed edges, rooted at the synthetic exit."""
-    return _dominance(g.nodes[::-1], g.exit, g.succs)
+    return dict(zip(g.nodes, _dominance(range(len(g.nodes) - 1, -1, -1), g.succs)))
 
 
 def node_global_reads(ins: Instr) -> tuple[str, ...]:
@@ -210,7 +218,7 @@ def access_info(g: Cfg, program: Program) -> AccessInfo:
     declared = set(program.global_names())
     loads: set[tuple[NodeId, str]] = set()
     stores: set[tuple[NodeId, str]] = set()
-    for n, ins in g.instr.items():
+    for n, ins in zip(g.nodes, g.instr):
         for name in node_global_reads(ins):
             if name in declared:
                 loads.add((n, name))
@@ -231,12 +239,13 @@ def dump_cfg(g: Cfg) -> list[str]:
     from .ir import format_instr
 
     lines = [f"cfg {g.handler} entry={g.entry} exit={g.exit}"]
-    for n in g.nodes:
-        flags = " loop-head" if n in g.loop_heads else ""
-        lines.append(f"node {n} {format_instr(g.instr[n])}{flags}")
-    for s, t in sorted(g.edges):
-        kind = "back" if (s, t) in g.back_edges else "edge"
-        lines.append(f"{kind} {s} -> {t}")
+    for i, n in enumerate(g.nodes):
+        flags = " loop-head" if i in g.loop_heads else ""
+        lines.append(f"node {n} {format_instr(g.instr[i])}{flags}")
+    for s, targets in enumerate(g.succs):
+        for t in targets:
+            kind = "back" if (s, t) in g.back_edges else "edge"
+            lines.append(f"{kind} {g.nodes[s]} -> {g.nodes[t]}")
     for a, b in sorted(dominance_pairs(dominators(g))):
         lines.append(f"dom {a} {b}")
     for a, b in sorted(dominance_pairs(post_dominators(g))):

@@ -39,6 +39,11 @@ def _load(path: str) -> Program:
     return program
 
 
+def _pairs_line(report: AnalysisReport) -> str:
+    return (f"pairs: total={report.pairs_total} pruned={report.pairs_pruned} "
+            f"ratio={report.pairs_ratio:.2f}")
+
+
 def _render_report(report: AnalysisReport, as_json: bool) -> str:
     if as_json:
         return report.to_json()
@@ -48,8 +53,7 @@ def _render_report(report: AnalysisReport, as_json: bool) -> str:
     if not report.verdicts:
         lines.append("(no assertions)")
     lines.append("")
-    lines.append(f"pairs: total={report.pairs_total} pruned={report.pairs_pruned} "
-                 f"ratio={report.pairs_ratio:.2f}")
+    lines.append(_pairs_line(report))
     lines.append(f"iterations={report.iterations} "
                  f"pruning={'on' if report.pruning_enabled else 'off'}")
     return "\n".join(lines)
@@ -149,8 +153,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not rows:
             print("(no assertions)")
         print()
-        print(f"pairs: total={report.pairs_total} pruned={report.pairs_pruned} "
-              f"ratio={report.pairs_ratio:.2f}")
+        print(_pairs_line(report))
     if discrepancies:
         print(f"error: oracle violates proved assertion(s): {', '.join(sorted(discrepancies))}",
               file=sys.stderr)

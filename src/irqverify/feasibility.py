@@ -32,15 +32,16 @@ decides whole classes at once. ``must_not_read_from`` groups the loads and
 stores into their classes and calls it exactly once per cross-handler pair of
 classes of one variable. Its result is the one class table every consumer
 reads: the pair counts are sums of class-size products, the analysis admits
-per load class the store classes it does not reject, and the facts dump and
-``rejected_pairs`` expand only the rejected pairs of classes into (load,
-store, variable) lines or triples. All rules are non-recursive; no fixpoint
-or external solver is involved.
+per load class the store classes it does not reject, and one generator
+expands only the rejected pairs of classes into (load, store, variable)
+triples, which the facts dump prints and ``rejected_pairs`` collects. All
+rules are non-recursive; no fixpoint or external solver is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
 from .ir import Program
@@ -180,13 +181,20 @@ def must_not_read_from(fb: FactBase) -> FeasibilityResult:
                              rejected=rejected, pairs_total=total, pairs_pruned=pruned)
 
 
+def _expand_rejected(result: FeasibilityResult) -> Iterator[tuple[NodeId, NodeId, str]]:
+    """(load, store, variable) for every node pair of every rejected pair of classes."""
+    for load_class, store_classes in result.rejected.items():
+        v = load_class[0]
+        for store_class in store_classes:
+            stores = result.store_classes[v][store_class]
+            for l in result.load_classes[load_class]:
+                for s in stores:
+                    yield l, s, v
+
+
 def rejected_pairs(result: FeasibilityResult) -> frozenset[tuple[NodeId, NodeId, str]]:
     """The MustNotReadFrom relation expanded into (load, store, variable) triples."""
-    return frozenset((l, s, load_class[0])
-                     for load_class, store_classes in result.rejected.items()
-                     for store_class in store_classes
-                     for l in result.load_classes[load_class]
-                     for s in result.store_classes[load_class[0]][store_class])
+    return frozenset(_expand_rejected(result))
 
 
 def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
@@ -242,11 +250,7 @@ def dump_facts(fb: FactBase, result: FeasibilityResult) -> list[str]:
                              for classes in result.store_classes.values()
                              for (v, _, intercepted), stores in classes.items() if intercepted
                              for n in stores],
-        # Expanded here like `rejected_pairs`, but without its set of triples.
-        "MustNotReadFrom": [f"MustNotReadFrom({name[l]}, {name[s]}, {load_class[0]})"
-                            for load_class, store_classes in result.rejected.items()
-                            for store_class in store_classes
-                            for l in result.load_classes[load_class]
-                            for s in result.store_classes[load_class[0]][store_class]],
+        "MustNotReadFrom": [f"MustNotReadFrom({name[l]}, {name[s]}, {v})"
+                            for l, s, v in _expand_rejected(result)],
     }
     return [line for rel in sorted(blocks) for line in sorted(blocks[rel])]

@@ -180,8 +180,8 @@ class _Enumerator:
         self.gidx = {name: i for i, name in enumerate(self.gnames)}
         self.table = [self._rows(g) for g in self.cfgs]
         # (handler index, entry index) of every handler, and of those that may start over
-        # an innermost frame of handler h
-        self.starts = tuple((h, g.entry.index) for h, g in enumerate(self.cfgs))
+        # an innermost frame of handler h; each graph's entry is its node 0
+        self.starts = tuple((h, 0) for h in range(len(self.cfgs)))
         self.preempt = [tuple(s for s in self.starts
                               if not interrupt or self.priorities[s[0]] > pr)
                         for pr in self.priorities]
@@ -196,9 +196,7 @@ class _Enumerator:
     def _rows(self, g: Cfg) -> tuple[tuple, ...]:
         """The step table of one handler: row i describes the node of index i."""
         rows = []
-        for i, n in enumerate(g.nodes):
-            assert n.index == i
-            ins = g.instr[n]
+        for i, (n, ins) in enumerate(zip(g.nodes, g.instr)):
             if n == g.exit:
                 kind = _EXIT
             elif type(ins) in _KINDS:
@@ -207,9 +205,8 @@ class _Enumerator:
                 raise TypeError(f"not executable: {ins!r}")
             source = ins.expr if kind == _ASSIGN else getattr(ins, "cond", NONDET)
             ev = None if type(source) is Nondet else _compile(source, self.gidx)
-            steps = tuple((s.index, (n, s) in g.back_edges,
-                           g.loop_exits[s].index if s in g.loop_exits else -1)
-                          for s in g.succs[n])
+            steps = tuple((s, (i, s) in g.back_edges, g.loop_exits.get(s, -1))
+                          for s in g.succs[i])
             reads = tuple(self.gidx[name] for name in node_global_reads(ins))
             written = node_global_write(ins)
             local_only = not reads and written is None and kind != _ASSERT

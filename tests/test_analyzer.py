@@ -65,7 +65,13 @@ def handler_plan(program, handler, pruning=True):
 def local_states(plan, interference, entry):
     """analyze_local on a plan and the hulls it admits of `interference`, as a node -> state map."""
     admitted = admitted_hulls(plan, interference)
-    return dict(zip(plan.nodes, analyze_local(plan, admitted, AnalysisConfig(), entry)))
+    return dict(zip(plan.graph.nodes, analyze_local(plan, admitted, AnalysisConfig(), entry)))
+
+
+def assert_node(plan):
+    """The one assertion node of a plan's graph."""
+    (check,) = (n for n, ins in zip(plan.graph.nodes, plan.graph.instr) if isinstance(ins, Assert))
+    return check
 
 
 def test_local_analysis_without_interference_is_sequential():
@@ -76,7 +82,7 @@ def test_local_analysis_without_interference_is_sequential():
     plan = handler_plan(p, "h")
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
     states = local_states(plan, {}, entry)
-    check = next(n for n, ins in zip(plan.nodes, plan.instr) if isinstance(ins, Assert))
+    check = assert_node(plan)
     assert states[check].get("y") == Interval(0, 3)
     assert states[check].get("x") == Interval.const(1)
 
@@ -115,7 +121,7 @@ def test_loop_widening_and_narrowing_terminate_with_bounds():
     plan = handler_plan(p, "h")
     entry = AbstractState({"x": Interval.const(0)})
     states = local_states(plan, {}, entry)
-    check = next(n for n, ins in zip(plan.nodes, plan.instr) if isinstance(ins, Assert))
+    check = assert_node(plan)
     # narrowing recovers the exact exit value after widening to +inf
     assert states[check].get("x") == Interval.const(10)
 
@@ -189,7 +195,7 @@ def test_higher_priority_warning_survives_pruning():
     p = load_corpus("branch_overwrites")
     result = analyze(p)
     states = result.node_states
-    nodes = {ins.uid: n for g in result.cfgs for n, ins in g.instr.items()
+    nodes = {ins.uid: n for g in result.cfgs for n, ins in zip(g.nodes, g.instr)
              if isinstance(ins, Assert)}
     # the high handler reads y while the medium one may have left y = 0
     assert states[nodes["irq_H#0"]].get("y") == Interval(0, 1)
@@ -241,7 +247,7 @@ def test_shared_memo_skips_the_plain_fixpoint_when_nothing_is_pruned(name, monke
     real = analyzer_mod.analyze_local
 
     def counted(*args):
-        calls.append(args[0].handler)
+        calls.append(args[0].graph.handler)
         return real(*args)
 
     monkeypatch.setattr(analyzer_mod, "analyze_local", counted)

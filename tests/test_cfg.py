@@ -1,7 +1,7 @@
 import random
 
 from irqverify import access_info, build_cfg, dominators, parse_program, post_dominators
-from irqverify.cfg import dominance_pairs
+from irqverify.cfg import NodeId, dominance_pairs
 from irqverify.cfg import dump_cfg
 from irqverify.ir import Assert, Assign, Skip
 
@@ -14,7 +14,8 @@ def handler_cfg(program, name):
 
 
 def node_of(g, predicate):
-    matches = [n for n in g.nodes if predicate(g.instr[n])]
+    """The index of the one node of g whose instruction satisfies predicate."""
+    matches = [i for i, ins in enumerate(g.instr) if predicate(ins)]
     assert len(matches) == 1, matches
     return matches[0]
 
@@ -31,6 +32,16 @@ def assert_node(g):
     return node_of(g, lambda ins: isinstance(ins, Assert))
 
 
+def index_pairs(masks):
+    """`dominance_pairs` of one handler's masks, as pairs of node indices."""
+    return {(a.index, b.index) for a, b in dominance_pairs(masks)}
+
+
+def index_sites(g, sites):
+    """Access sites (node, variable) of g, with each node as its index; every node must be g's."""
+    return {(g.nodes.index(n), v) for n, v in sites}
+
+
 # ---------------------------------------------------------------------------
 # Shape
 # ---------------------------------------------------------------------------
@@ -39,9 +50,9 @@ def assert_node(g):
 def test_empty_body_is_entry_to_exit():
     p = parse_program("global x = 0; handler h priority 0 { }")
     g = build_cfg(p.handlers[0])
-    assert g.nodes == (g.entry, g.exit)
-    assert g.edges == {(g.entry, g.exit)}
-    assert isinstance(g.instr[g.entry], Skip) and isinstance(g.instr[g.exit], Skip)
+    assert g.nodes == (g.entry, g.exit) == (NodeId("h", 0), NodeId("h", 1))
+    assert (g.succs, g.preds) == (((1,), ()), ((), (0,)))
+    assert isinstance(g.instr[0], Skip) and isinstance(g.instr[1], Skip)
 
 
 def test_branch_lowering_is_a_diamond_with_join():
@@ -54,7 +65,7 @@ def test_branch_lowering_is_a_diamond_with_join():
     assert isinstance(g.instr[join], Skip)
     assert len(g.preds[join]) == 2
     # the branch-arm store feeds the join directly
-    assert (store_y0, join) in g.edges
+    assert join in g.succs[store_y0]
 
 
 def test_loop_lowering_has_back_edge_and_reachable_exit():
@@ -65,7 +76,7 @@ def test_loop_lowering_has_back_edge_and_reachable_exit():
     store1 = assign_node(g, "x", 1)
     store0 = assign_node(g, "x", 0)
     assert (store0, head) in g.back_edges
-    assert (store1, store0) in g.edges
+    assert store0 in g.succs[store1]
     # exit is reachable from the loop head
     seen, frontier = set(), [head]
     while frontier:
@@ -74,7 +85,7 @@ def test_loop_lowering_has_back_edge_and_reachable_exit():
             continue
         seen.add(n)
         frontier.extend(g.succs[n])
-    assert g.exit in seen
+    assert len(g.nodes) - 1 in seen  # the exit
 
 
 def test_every_node_reachable_from_entry_on_corpus():
@@ -82,15 +93,15 @@ def test_every_node_reachable_from_entry_on_corpus():
         p = load_corpus(name)
         for h in p.handlers:
             g = build_cfg(h)
-            seen, frontier = set(), [g.entry]
+            seen, frontier = set(), [0]
             while frontier:
                 n = frontier.pop()
                 if n in seen:
                     continue
                 seen.add(n)
                 frontier.extend(g.succs[n])
-            assert seen == set(g.nodes)
-            assert g.preds[g.entry] == ()
+            assert seen == set(range(len(g.nodes)))
+            assert g.preds[0] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +122,7 @@ def test_straight_line_dominance_is_prefix_order():
 def test_branch_store_does_not_dominate_join_successor():
     p = load_corpus("branch_overwrites")
     g = handler_cfg(p, "irq_M")
-    dom = dominance_pairs(dominators(g))
+    dom = index_pairs(dominators(g))
     assert (assign_node(g, "y", 1), assert_node(g)) in dom
     assert (assign_node(g, "y", 0), assert_node(g)) not in dom
 
@@ -119,12 +130,12 @@ def test_branch_store_does_not_dominate_join_successor():
 def test_postdominance_of_unconditional_stores():
     p = load_corpus("branch_overwrites")
     g = handler_cfg(p, "irq_H")
-    postdom = dominance_pairs(post_dominators(g))
+    postdom = index_pairs(post_dominators(g))
     assert (assign_node(g, "x", 1), assign_node(g, "x", 0)) in postdom
 
     q = load_corpus("loop_store_overwrite")
     gq = handler_cfg(q, "irq1")
-    pq = dominance_pairs(post_dominators(gq))
+    pq = index_pairs(post_dominators(gq))
     assert (assign_node(gq, "x", 0), assign_node(gq, "x", 1)) in pq
     # the loop may exit before re-entering the body: x=1 does not post-dominate x=0
     assert (assign_node(gq, "x", 1), assign_node(gq, "x", 0)) not in pq
@@ -163,19 +174,21 @@ def _simple_paths(succs, src, dst):
 
 def brute_dominators(g):
     rel = set()
-    for b in g.nodes:
-        paths = _simple_paths(g.succs, g.entry, b)
-        common = set(g.nodes) if not paths else set.intersection(*(set(p) for p in paths))
-        rel |= {(a, b) for a in common}
+    every = range(len(g.nodes))
+    for b in every:
+        paths = _simple_paths(g.succs, 0, b)
+        common = set(every) if not paths else set.intersection(*(set(p) for p in paths))
+        rel |= {(g.nodes[a], g.nodes[b]) for a in common}
     return rel
 
 
 def brute_post_dominators(g):
     rel = set()
-    for b in g.nodes:
-        paths = _simple_paths(g.succs, b, g.exit)
-        common = set(g.nodes) if not paths else set.intersection(*(set(p) for p in paths))
-        rel |= {(a, b) for a in common}
+    every = range(len(g.nodes))
+    for b in every:
+        paths = _simple_paths(g.succs, b, every[-1])
+        common = set(every) if not paths else set.intersection(*(set(p) for p in paths))
+        rel |= {(g.nodes[a], g.nodes[b]) for a in common}
     return rel
 
 
@@ -232,8 +245,9 @@ def test_access_info_three_priorities():
     p = load_corpus("three_priorities")
     g = handler_cfg(p, "irq_M")
     info = access_info(g, p)
-    assert info.stores == {(assign_node(g, "y", 1), "y"), (assign_node(g, "x", 1), "x")}
-    assert info.loads == {(assert_node(g), "x")}
+    assert index_sites(g, info.stores) == {(assign_node(g, "y", 1), "y"),
+                                           (assign_node(g, "x", 1), "x")}
+    assert index_sites(g, info.loads) == {(assert_node(g), "x")}
 
 
 def test_access_info_locals_only_is_empty():
@@ -248,8 +262,8 @@ def test_access_info_compound_load_store_same_node():
     g = handler_cfg(p, "irq0")
     info = access_info(g, p)
     copy = assign_node(g, "b")
-    assert (copy, "x") in info.loads and (copy, "b") in info.stores
-    assert (assert_node(g), "b") in info.loads
+    assert (copy, "x") in index_sites(g, info.loads) and (copy, "b") in index_sites(g, info.stores)
+    assert (assert_node(g), "b") in index_sites(g, info.loads)
 
 
 def test_access_info_branch_conditions_load_globals():

@@ -3,8 +3,9 @@
 The reference functions below are the implementation that per-node bitmasks
 replaced: an iterative set dataflow materialized as a node-pair relation, and
 all-pairs scans for covered loads and intercepted stores. They are kept
-verbatim as test oracles; every handler of the corpus and of progen seeds
-0-499 must give the same relations and the same derived sets.
+verbatim as test oracles and read graphs of the NodeId-keyed lowering of
+`cfg_reference`; every handler of the corpus and of progen seeds 0-499 must
+give the same relations and the same derived sets.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from irqverify import covered_loads, dominators, extract_facts, intercepted_stores, post_dominators
 from irqverify.cfg import NodeId, build_all, dominance_pairs
 
+from cfg_reference import build_cfg
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
 
@@ -70,9 +72,10 @@ def _check_against_reference(program, label):
     cfgs, infos = build_all(program)
     dom: set = set()
     postdom: set = set()
-    for g in cfgs:
-        ref_dom = reference_dominators(g)
-        ref_postdom = reference_post_dominators(g)
+    for g, handler in zip(cfgs, program.handlers):
+        ref = build_cfg(handler)
+        ref_dom = reference_dominators(ref)
+        ref_postdom = reference_post_dominators(ref)
         assert dominance_pairs(dominators(g)) == ref_dom, (label, g.handler)
         assert dominance_pairs(post_dominators(g)) == ref_postdom, (label, g.handler)
         dom |= ref_dom

@@ -32,7 +32,7 @@ def find_node(cfgs, handler, predicate):
     for g in cfgs:
         if g.handler != handler:
             continue
-        matches = [n for n in g.nodes if predicate(g.instr[n])]
+        matches = [n for n, ins in zip(g.nodes, g.instr) if predicate(ins)]
         assert len(matches) == 1, matches
         return matches[0]
     raise AssertionError(handler)

@@ -10,7 +10,8 @@ with its `collect_interferences` and `_merge_interferences`, reading
 rejected triples instead of load and store classes. They are kept as test
 oracles with their logic unchanged; only names, docstrings, the rule loop's
 return value and the reference report's pair counts (taken from the
-reference rules) differ. On the corpus and progen seeds 0-499 the rejected
+reference rules) differ, and `reference_analyze` builds its graphs with the
+NodeId-keyed lowering of `cfg_reference`. On the corpus and progen seeds 0-499 the rejected
 triples and the pair counts must be the same; on the corpus, seeds 0-499 and
 20 eight-handler programs `analyze` must give the same node states and
 report, with pruning on and off, and with widening from the second round.
@@ -29,7 +30,7 @@ from irqverify.analyzer import (
     VerdictEntry,
     analyze,
 )
-from irqverify.cfg import Cfg, NodeId, build_all, node_global_reads, node_global_write
+from irqverify.cfg import NodeId, build_all, node_global_reads, node_global_write
 from irqverify.domain import (
     AbstractState,
     Interval,
@@ -43,6 +44,7 @@ from irqverify.domain import (
 from irqverify.feasibility import FactBase, covered_loads, intercepted_stores
 from irqverify.ir import Assert, Program
 
+from cfg_reference import Cfg, build_cfg
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
 
@@ -199,7 +201,7 @@ def reference_merge_interferences(maps: list[InterferenceMap]) -> InterferenceMa
 
 def reference_analyze(program: Program, config: AnalysisConfig) -> tuple[NodeStates, AnalysisReport]:
     """Rounds over every handler against the merged per-store interference."""
-    cfgs, _ = build_all(program)
+    cfgs = [build_cfg(h) for h in program.handlers]
     rejected, pairs_total = reference_must_not_read_from(_facts(program))
     rejected_active = rejected if config.pruning else None
 

@@ -22,7 +22,9 @@ one state with one trace, so its execution count is that of distinct (end
 state, trace) pairs, at most the copy's count of paths. The explored-state counts are pinned: `max_states` counts states,
 so an encoding that merged or split states would move them. The evaluators
 the step table compiles are checked against the copy's `_eval` and
-`_eval_cmp` on every row of progen seeds 0-199.
+`_eval_cmp` on every row of progen seeds 0-199. The copy builds its graphs
+with the NodeId-keyed lowering of `cfg_reference`, so it shares no graph code
+with the search either.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import pytest
 
 from irqverify import OracleConfig, OracleLimitError, enumerate_executions, thread_enumerate
-from irqverify.cfg import Cfg, NodeId, build_cfg, node_global_reads
+from irqverify.cfg import NodeId, node_global_reads
 from irqverify.ir import (
     Add,
     Assert,
@@ -55,6 +57,7 @@ from irqverify.ir import (
 )
 from irqverify.oracle import HAVOC_VALUES, OracleResult, _Enumerator
 
+from cfg_reference import Cfg, build_cfg
 from conftest import CORPUS_NAMES, load_corpus
 from progen import oracle_budget, random_program
 from test_acceptance import FOUR_HANDLER_SEEDS
