@@ -93,17 +93,17 @@ class AnalysisReport:
     def pairs_ratio(self) -> float:
         return self.pairs_pruned / self.pairs_total if self.pairs_total else 0.0
 
+    def pairs_json(self) -> dict:
+        """The `"pairs"` object of the `analyze` and `compare` JSON output."""
+        return {"total": self.pairs_total, "pruned": self.pairs_pruned, "ratio": self.pairs_ratio}
+
     def to_json_dict(self) -> dict:
         return {
             "verdicts": [
                 {"assertion_id": v.assertion_id, "handler": v.handler, "verdict": v.verdict}
                 for v in self.verdicts
             ],
-            "pairs": {
-                "total": self.pairs_total,
-                "pruned": self.pairs_pruned,
-                "ratio": self.pairs_ratio,
-            },
+            "pairs": self.pairs_json(),
             "iterations": self.iterations,
             "pruning_enabled": self.pruning_enabled,
         }

@@ -26,6 +26,7 @@ from .ir import (
     Skip,
     Stmt,
     While,
+    format_instr,
     instr_reads,
     instr_write,
     negate_cond,
@@ -179,12 +180,6 @@ def _dominance(order: range, edges_into: tuple[tuple[int, ...], ...]) -> list[in
     return dom
 
 
-def dominance_pairs(masks: dict[NodeId, int]) -> frozenset[tuple[NodeId, NodeId]]:
-    """Expand per-node masks into the pairs (a, b) where a is in b's mask."""
-    return frozenset((NodeId(b.handler, i), b) for b, mask in masks.items()
-                     for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def dominators(g: Cfg) -> dict[NodeId, int]:
     """Per node b, the mask of every a on all entry-to-b paths; reflexive."""
     return dict(zip(g.nodes, _dominance(range(len(g.nodes)), g.preds)))
@@ -234,20 +229,32 @@ def build_all(program: Program) -> tuple[list[Cfg], list[AccessInfo]]:
     return cfgs, infos
 
 
+def _relation_lines(kind: str, masks: Iterable[int], names: list[str]) -> list[str]:
+    """`kind a b` for every a in b's mask, ordered by a and then b.
+
+    Reads the masks column by column: row a of the transpose lists, in index
+    order, the nodes whose mask holds a.
+    """
+    rows: list[list[str]] = [[] for _ in names]
+    for b, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1].append(names[b])
+            mask ^= low
+    return [f"{kind} {names[a]} {b}" for a, row in enumerate(rows) for b in row]
+
+
 def dump_cfg(g: Cfg) -> list[str]:
     """Line-oriented debug rendering of the graph and its dominance relations."""
-    from .ir import format_instr
-
-    lines = [f"cfg {g.handler} entry={g.entry} exit={g.exit}"]
-    for i, n in enumerate(g.nodes):
+    names = [str(n) for n in g.nodes]
+    lines = [f"cfg {g.handler} entry={names[0]} exit={names[-1]}"]
+    for i, name in enumerate(names):
         flags = " loop-head" if i in g.loop_heads else ""
-        lines.append(f"node {n} {format_instr(g.instr[i])}{flags}")
+        lines.append(f"node {name} {format_instr(g.instr[i])}{flags}")
     for s, targets in enumerate(g.succs):
         for t in targets:
             kind = "back" if (s, t) in g.back_edges else "edge"
-            lines.append(f"{kind} {g.nodes[s]} -> {g.nodes[t]}")
-    for a, b in sorted(dominance_pairs(dominators(g))):
-        lines.append(f"dom {a} {b}")
-    for a, b in sorted(dominance_pairs(post_dominators(g))):
-        lines.append(f"postdom {a} {b}")
+            lines.append(f"{kind} {names[s]} -> {names[t]}")
+    lines += _relation_lines("dom", dominators(g).values(), names)
+    lines += _relation_lines("postdom", post_dominators(g).values(), names)
     return lines

@@ -136,11 +136,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             if v.verdict == "Proved" or plain_verdicts[v.assertion_id] == "Proved":
                 discrepancies.append(v.assertion_id)
 
-    report = pruned.report
     payload = {
         "rows": rows,
-        "pairs": {"total": report.pairs_total, "pruned": report.pairs_pruned,
-                  "ratio": report.pairs_ratio},
+        "pairs": pruned.report.pairs_json(),
         "oracle_skipped": oracle_skipped,
         "sound": not discrepancies,
     }
@@ -153,7 +151,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not rows:
             print("(no assertions)")
         print()
-        print(_pairs_line(report))
+        print(_pairs_line(pruned.report))
     if discrepancies:
         print(f"error: oracle violates proved assertion(s): {', '.join(sorted(discrepancies))}",
               file=sys.stderr)

@@ -5,10 +5,13 @@ as it was when each graph held its instructions, successors and
 predecessors in dicts keyed by `NodeId`, plus an `edges` frozenset;
 `_dominance`, `dominators`, `post_dominators` and `dump_cfg` are the copies
 that read such a graph. Only the imports differ. Nothing here is shared with
-`irqverify.cfg` beyond `NodeId` and `dominance_pairs`, so the reference tests
-that build their graphs with it check the package against an independent
-lowering, and `test_cfg_reference.py` checks that the two lowerings give the
-same graphs and the same `dump_cfg` text.
+`irqverify.cfg` beyond `NodeId`, so the reference tests that build their
+graphs with it check the package against an independent lowering, and
+`test_cfg_reference.py` checks that the two lowerings give the same graphs
+and the same `dump_cfg` text.
+
+`dominance_pairs`, which expands dominance masks into explicit pairs, is the
+tests' helper for reading either lowering's masks as a relation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from irqverify.cfg import NodeId, dominance_pairs
+from irqverify.cfg import NodeId
 from irqverify.ir import (
     Assert,
     Assign,
@@ -31,6 +34,12 @@ from irqverify.ir import (
     While,
     negate_cond,
 )
+
+
+def dominance_pairs(masks: dict[NodeId, int]) -> frozenset[tuple[NodeId, NodeId]]:
+    """Expand per-node masks into the pairs (a, b) where a is in b's mask."""
+    return frozenset((NodeId(b.handler, i), b) for b, mask in masks.items()
+                     for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)

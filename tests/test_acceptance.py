@@ -27,9 +27,9 @@ from irqverify import (
     post_dominators,
     rejected_pairs,
 )
-from irqverify.cfg import dominance_pairs
 from irqverify.domain import join as state_join, widen as state_widen
 
+from cfg_reference import dominance_pairs
 from conftest import CORPUS_NAMES, corpus_path, load_corpus
 from progen import oracle_budget, random_program
 from test_cfg import _small_random_cfgs, brute_dominators, brute_post_dominators

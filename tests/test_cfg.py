@@ -1,10 +1,10 @@
 import random
 
 from irqverify import access_info, build_cfg, dominators, parse_program, post_dominators
-from irqverify.cfg import NodeId, dominance_pairs
-from irqverify.cfg import dump_cfg
+from irqverify.cfg import NodeId, dump_cfg
 from irqverify.ir import Assert, Assign, Skip
 
+from cfg_reference import dominance_pairs
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
 

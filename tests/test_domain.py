@@ -1,13 +1,14 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from irqverify.domain import (
-    BOTTOM,
     TOP,
     AbstractState,
     Interval,
     Verdict,
+    _refine,
     assume_cond,
     check_assert,
     eval_expr,
@@ -68,8 +69,23 @@ def test_missing_variable_is_top():
 
 
 def test_bottom_binding_collapses_state():
-    assert state(x=(0, 1)).set("x", BOTTOM).is_bottom
-    assert AbstractState({"x": BOTTOM}).is_bottom
+    assert state(x=(0, 1)).set("x", None) is AbstractState.bottom()
+    assert AbstractState({"x": None, "y": iv(0, 1)}) is not AbstractState.bottom()
+    assert AbstractState({"x": None, "y": iv(0, 1)}) == AbstractState.bottom()
+    assert AbstractState.bottom().set("x", iv(0, 1)) is AbstractState.bottom()
+
+
+def test_disjoint_meet_is_none():
+    assert iv(0, 1).meet(iv(2, 3)) is None
+    assert iv(None, -1).meet(iv(0, None)) is None
+    assert iv(0, 2).meet(iv(2, None)) == iv(2, 2)
+    assert TOP.meet(iv(1, 1)) == iv(1, 1)
+
+
+def test_interval_has_only_its_bounds():
+    assert [f.name for f in fields(Interval)] == ["lo", "hi"]
+    assert iv(1, 2) == iv(1, 2) and hash(iv(1, 2)) == hash(iv(1, 2))
+    assert iv(None, 2) != iv(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +94,6 @@ def test_bottom_binding_collapses_state():
 
 
 def random_interval(rng):
-    if rng.random() < 0.08:
-        return BOTTOM
     lo = None if rng.random() < 0.2 else rng.randint(-10, 10)
     hi = None if rng.random() < 0.2 else rng.randint(-10, 10)
     if lo is not None and hi is not None and lo > hi:
@@ -114,10 +128,6 @@ def test_lattice_laws():
 
 def reference_interval_join(a, b):
     """Hull of two intervals, always built anew."""
-    if a.empty:
-        return b
-    if b.empty:
-        return a
     lo = None if a.lo is None or b.lo is None else min(a.lo, b.lo)
     hi = None if a.hi is None or b.hi is None else max(a.hi, b.hi)
     return Interval(lo, hi)
@@ -141,8 +151,8 @@ def reference_set(s, name, value):
 
 
 def assert_clean(s):
-    """No state holds a top binding, and only the bottom state an empty one."""
-    assert all(not v.is_top() and not v.empty for _, v in s.items()), s
+    """No state holds a top or a None binding."""
+    assert all(v is not None and not v.is_top() for _, v in s.items()), s
 
 
 def test_fast_paths_match_pointwise_reference():
@@ -168,17 +178,22 @@ def test_fast_paths_match_pointwise_reference():
         assert join(a, a) is a
         assert_clean(joined)
         name, value = rng.choice(("x", "y", "z", "w")), random_interval(rng)
-        if rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.3 and not a.is_bottom:
             value = a.get(name)  # rebinding to the current value
+        elif roll > 0.92:
+            value = None  # an empty meet: the state collapses
         updated = a.set(name, value)
         assert updated == reference_set(a, name, value), (a, name, value)
         assert (updated is a) == (a.is_bottom or a.get(name) == value), (a, name, value)
+        if value is None:
+            assert updated.is_bottom, (a, name)
         assert_clean(updated)
     assert 500 < kept < 1500  # both outcomes of the join are exercised
 
 
-def test_widening_chains_stabilize_within_three_steps():
-    # per interval: one escape from bottom plus at most one escape per bound
+def test_widening_chains_stabilize_within_two_steps():
+    # per interval: at most one escape per bound
     rng = random.Random(1)
     for _ in range(300):
         current = random_interval(rng)
@@ -189,7 +204,7 @@ def test_widening_chains_stabilize_within_three_steps():
             if widened != current:
                 widenings += 1
                 current = widened
-        assert widenings <= 3
+        assert widenings <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +239,16 @@ def test_transfer_inequality_trims_endpoint():
     assert s2 == state(x=(0, 5))  # interior point: no refinement
     s3 = transfer(Assume(Cmp("!=", G("x"), Const(2))), state(x=(2, 2)))
     assert s3.is_bottom
+    s4 = transfer(Assume(Cmp("!=", Const(5), G("x"))), state(x=(2, 5)))
+    assert s4 == state(x=(2, 4))  # the constant on the left trims the high end
+
+
+def test_refine_not_equal_trims_endpoints_only():
+    assert _refine("!=", iv(2, 2), iv(2, 2)) is None  # the last value goes
+    assert _refine("!=", iv(2, 5), iv(2, 2)) == iv(3, 5)
+    assert _refine("!=", iv(None, 5), iv(5, 5)) == iv(None, 4)
+    assert _refine("!=", iv(2, 5), iv(3, 3)) == iv(2, 5)
+    assert _refine("!=", iv(2, 5), iv(2, 3)) == iv(2, 5)
 
 
 def test_transfer_comparison_refines_both_sides():

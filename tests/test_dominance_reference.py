@@ -13,9 +13,9 @@ import random
 import pytest
 
 from irqverify import covered_loads, dominators, extract_facts, intercepted_stores, post_dominators
-from irqverify.cfg import NodeId, build_all, dominance_pairs
+from irqverify.cfg import NodeId, build_all
 
-from cfg_reference import build_cfg
+from cfg_reference import build_cfg, dominance_pairs
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
 

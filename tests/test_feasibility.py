@@ -14,11 +14,12 @@ from irqverify import (
     rejected_pairs,
 )
 from irqverify import feasibility
-from irqverify.cfg import build_all, dominance_pairs
+from irqverify.cfg import build_all
 from irqverify.cli import main
 from irqverify.feasibility import cross_pairs, dump_facts
 from irqverify.ir import Assert, Assign, Handler, format_program
 
+from cfg_reference import dominance_pairs
 from conftest import CORPUS_NAMES, corpus_path, load_corpus
 from progen import random_program
 
