@@ -16,20 +16,10 @@ from .analyzer import (
     analyze,
     analyze_local,
     collect_interferences,
-    plan_handler,
 )
-from .cfg import AccessInfo, Cfg, NodeId, access_info, build_cfg, dominators, post_dominators
-from .domain import AbstractState, Interval, Verdict, check_assert, join, leq, transfer, widen
-from .feasibility import (
-    FactBase,
-    FeasibilityResult,
-    covered_loads,
-    extract_facts,
-    intercepted_stores,
-    must_not_read_from,
-    no_preempt,
-    rejected_pairs,
-)
+from .cfg import Cfg, NodeId, build_cfg, dominators, post_dominators
+from .domain import AbstractState, Interval, check_assert, join, leq, transfer, widen
+from .feasibility import FeasibilityResult, must_not_read_from, rejected_pairs
 from .ir import Diagnostic, Handler, Program, format_program, validate
 from .oracle import (
     OracleConfig,
@@ -45,13 +35,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractState",
-    "AccessInfo",
     "AnalysisConfig",
     "AnalysisReport",
     "AnalysisResult",
     "Cfg",
     "Diagnostic",
-    "FactBase",
     "FeasibilityResult",
     "Handler",
     "Interval",
@@ -61,27 +49,20 @@ __all__ = [
     "OracleResult",
     "ParseError",
     "Program",
-    "Verdict",
-    "access_info",
     "analyze",
     "analyze_local",
     "build_cfg",
     "check_assert",
     "collect_interferences",
     "collect_traces",
-    "covered_loads",
     "dominators",
     "enumerate_executions",
-    "extract_facts",
     "format_program",
-    "intercepted_stores",
     "join",
     "leq",
     "must_not_read_from",
-    "no_preempt",
     "parse_file",
     "parse_program",
-    "plan_handler",
     "post_dominators",
     "rejected_pairs",
     "thread_enumerate",

@@ -12,9 +12,13 @@ its load class admits. Rounds repeat until no node state changes; after the
 configured number of rounds the merge switches from join to widening so the
 outer loop always terminates.
 
-The fixpoint walks each handler's index-based graph directly. Once per
-`analyze` call, a `HandlerPlan` pairs the graph with what the class table
-says of its nodes. Node states live in per-handler lists indexed like the
+`prepare` lowers each handler to its index-based graph, extracts one
+`feasibility.HandlerFacts` record per handler and builds the class table from
+them. The table groups its classes by handler and names sites by node index,
+so once per `analyze` call each handler's `HandlerPlan` reads only that
+handler's part of it: per node its load classes, its store sites with their
+classes, and per load class the store classes it admits. The fixpoint walks
+the graph directly. Node states live in per-handler lists indexed like the
 graph, and the `node_states` map is built once at the end. A handler's local
 fixpoint is a function of its entry state and admitted hulls, so `analyze`
 looks each one up in a memo first, which `compare` shares between its pruned
@@ -37,18 +41,10 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .cfg import Cfg, NodeId, build_all
-from .domain import (
-    AbstractState,
-    Interval,
-    Verdict,
-    check_assert,
-    join,
-    transfer,
-    widen,
-)
+from .domain import AbstractState, Interval, check_assert, join, transfer, widen
 from .feasibility import (
-    FactBase,
     FeasibilityResult,
+    HandlerFacts,
     LoadClass,
     StoreClass,
     extract_facts,
@@ -118,7 +114,7 @@ class AnalysisResult:
 
     report: AnalysisReport
     node_states: NodeStates
-    facts: FactBase
+    facts: list[HandlerFacts]
     feasibility: FeasibilityResult
     cfgs: list[Cfg] = field(default_factory=list)
 
@@ -141,26 +137,20 @@ class HandlerPlan:
 
 
 def plan_handler(g: Cfg, feasibility: FeasibilityResult, pruning: bool) -> HandlerPlan:
-    """Read g's load classes, store sites and admitted sources off the class table.
+    """Read g's load classes, store sites and admitted sources off g's part of the class table.
 
     A load class admits every other handler's store class of its variable
     except, with `pruning`, the ones it must not read from.
     """
     reads: list[list[LoadClass]] = [[] for _ in g.nodes]
     sources: dict[LoadClass, tuple[StoreClass, ...]] = {}
-    for load_class, loads in feasibility.load_classes.items():
-        v, handler, _ = load_class
-        if handler != g.handler:
-            continue
-        for n in loads:
-            reads[n.index].append(load_class)
-        rejected = feasibility.rejected[load_class] if pruning else ()
-        sources[load_class] = tuple(
-            store_class for store_class in feasibility.store_classes.get(v, {})
-            if store_class[1] != handler and store_class not in rejected)
-    stores = sorted((s.index, store_class) for classes in feasibility.store_classes.values()
-                    for store_class, sites in classes.items() if store_class[1] == g.handler
-                    for s in sites)
+    for load_class, sites in feasibility.load_classes[g.handler].items():
+        for i in sites:
+            reads[i].append(load_class)
+        admitted = feasibility.admitted[load_class]
+        sources[load_class] = tuple(admitted if pruning else admitted + feasibility.rejected[load_class])
+    stores = sorted((i, store_class) for store_class, sites in feasibility.store_classes[g.handler].items()
+                    for i in sites)
     return HandlerPlan(graph=g, reads=tuple(map(tuple, reads)), stores=tuple(stores),
                        sources=sources)
 
@@ -267,7 +257,7 @@ def collect_interferences(plan: HandlerPlan, states: list[AbstractState]) -> dic
     return out
 
 
-def prepare(program: Program) -> tuple[list[Cfg], FactBase, FeasibilityResult]:
+def prepare(program: Program) -> tuple[list[Cfg], list[HandlerFacts], FeasibilityResult]:
     """Graphs, facts and feasibility classes: everything before the fixpoint."""
     cfgs, infos = build_all(program)
     facts = extract_facts(program, cfgs, infos)
@@ -275,7 +265,7 @@ def prepare(program: Program) -> tuple[list[Cfg], FactBase, FeasibilityResult]:
 
 
 def analyze(program: Program, config: AnalysisConfig | None = None,
-            prepared: tuple[list[Cfg], FactBase, FeasibilityResult] | None = None,
+            prepared: tuple[list[Cfg], list[HandlerFacts], FeasibilityResult] | None = None,
             memo: LocalMemo | None = None) -> AnalysisResult:
     """Run the full modular analysis and keep the internals around.
 
@@ -335,11 +325,10 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
     for g, post in zip(cfgs, states):
         for ins, state in zip(g.instr, post):
             if isinstance(ins, Assert):
-                v = check_assert(ins.cond, state)
                 verdicts.append(VerdictEntry(
                     assertion_id=ins.uid,
                     handler=g.handler,
-                    verdict="Proved" if v is Verdict.PROVED else "Warning",
+                    verdict="Proved" if check_assert(ins.cond, state) else "Warning",
                 ))
 
     report = AnalysisReport(

@@ -5,7 +5,8 @@ become diamonds whose arms start with `assume` nodes (the negated condition on
 the else arm); loops become a skip "head" node with an assume-guarded body
 returning to the head over a back edge. Synthetic skip nodes serve as the
 entry, the single exit, and branch join points. Nodes are numbered in the
-order they are created, and the graph names them by that index.
+order they are created, and the graph names them by that index. Dominance and
+access facts are lists by the same index.
 """
 
 from __future__ import annotations
@@ -71,12 +72,11 @@ class Cfg:
         return self.nodes[-1]
 
 
-@dataclass(frozen=True)
-class AccessInfo:
-    """Per-node reads/writes of global variables."""
+class AccessInfo(NamedTuple):
+    """Each node's loads and store of declared globals, by node index."""
 
-    loads: frozenset[tuple[NodeId, str]]
-    stores: frozenset[tuple[NodeId, str]]
+    loads: tuple[tuple[str, ...], ...]  # the globals node i reads, in first-read order
+    store: tuple[str | None, ...]  # the global node i writes, if any
 
 
 class _Builder:
@@ -180,14 +180,14 @@ def _dominance(order: range, edges_into: tuple[tuple[int, ...], ...]) -> list[in
     return dom
 
 
-def dominators(g: Cfg) -> dict[NodeId, int]:
-    """Per node b, the mask of every a on all entry-to-b paths; reflexive."""
-    return dict(zip(g.nodes, _dominance(range(len(g.nodes)), g.preds)))
+def dominators(g: Cfg) -> list[int]:
+    """Per node b, by index, the mask of every a on all entry-to-b paths; reflexive."""
+    return _dominance(range(len(g.nodes)), g.preds)
 
 
-def post_dominators(g: Cfg) -> dict[NodeId, int]:
+def post_dominators(g: Cfg) -> list[int]:
     """Dual of `dominators` over reversed edges, rooted at the synthetic exit."""
-    return dict(zip(g.nodes, _dominance(range(len(g.nodes) - 1, -1, -1), g.succs)))
+    return _dominance(range(len(g.nodes) - 1, -1, -1), g.succs)
 
 
 def node_global_reads(ins: Instr) -> tuple[str, ...]:
@@ -211,16 +211,10 @@ def access_info(g: Cfg, program: Program) -> AccessInfo:
     global they mention.
     """
     declared = set(program.global_names())
-    loads: set[tuple[NodeId, str]] = set()
-    stores: set[tuple[NodeId, str]] = set()
-    for n, ins in zip(g.nodes, g.instr):
-        for name in node_global_reads(ins):
-            if name in declared:
-                loads.add((n, name))
-        w = node_global_write(ins)
-        if w is not None and w in declared:
-            stores.add((n, w))
-    return AccessInfo(loads=frozenset(loads), stores=frozenset(stores))
+    return AccessInfo(
+        loads=tuple(tuple(v for v in node_global_reads(ins) if v in declared) for ins in g.instr),
+        store=tuple(w if w in declared else None for w in map(node_global_write, g.instr)),
+    )
 
 
 def build_all(program: Program) -> tuple[list[Cfg], list[AccessInfo]]:
@@ -255,6 +249,6 @@ def dump_cfg(g: Cfg) -> list[str]:
         for t in targets:
             kind = "back" if (s, t) in g.back_edges else "edge"
             lines.append(f"{kind} {names[s]} -> {names[t]}")
-    lines += _relation_lines("dom", dominators(g).values(), names)
-    lines += _relation_lines("postdom", post_dominators(g).values(), names)
+    lines += _relation_lines("dom", dominators(g), names)
+    lines += _relation_lines("postdom", post_dominators(g), names)
     return lines

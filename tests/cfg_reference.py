@@ -11,7 +11,13 @@ graphs with it check the package against an independent lowering, and
 and the same `dump_cfg` text.
 
 `dominance_pairs`, which expands dominance masks into explicit pairs, is the
-tests' helper for reading either lowering's masks as a relation.
+tests' helper for reading either lowering's masks as a relation; `mask_pairs`
+reads the package's masks, which are listed by node index, through it.
+
+`AccessInfo` and `access_info` are a verbatim copy of the access
+classification as it was before facts became per-handler records: one
+frozenset of (node, variable) loads and one of stores per graph. It reads a
+graph of the package's lowering, which its annotation names.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from irqverify.cfg import NodeId
+from irqverify import cfg as package_cfg
+from irqverify.cfg import NodeId, node_global_reads, node_global_write
 from irqverify.ir import (
     Assert,
     Assign,
@@ -29,6 +36,7 @@ from irqverify.ir import (
     Havoc,
     If,
     Instr,
+    Program,
     Skip,
     Stmt,
     While,
@@ -40,6 +48,39 @@ def dominance_pairs(masks: dict[NodeId, int]) -> frozenset[tuple[NodeId, NodeId]
     """Expand per-node masks into the pairs (a, b) where a is in b's mask."""
     return frozenset((NodeId(b.handler, i), b) for b, mask in masks.items()
                      for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def mask_pairs(g: package_cfg.Cfg, masks: list[int]) -> frozenset[tuple[NodeId, NodeId]]:
+    """`dominance_pairs` of masks listed by node index of the package's graph g."""
+    return dominance_pairs(dict(zip(g.nodes, masks)))
+
+
+@dataclass(frozen=True)
+class AccessInfo:
+    """Per-node reads/writes of global variables."""
+
+    loads: frozenset[tuple[NodeId, str]]
+    stores: frozenset[tuple[NodeId, str]]
+
+
+def access_info(g: package_cfg.Cfg, program: Program) -> AccessInfo:
+    """Classify every node's reads and writes of the program's globals.
+
+    A compound instruction such as `x = x + 1` contributes both a load and a
+    store of x at the same node. Assertions and branch conditions load every
+    global they mention.
+    """
+    declared = set(program.global_names())
+    loads: set[tuple[NodeId, str]] = set()
+    stores: set[tuple[NodeId, str]] = set()
+    for n, ins in zip(g.nodes, g.instr):
+        for name in node_global_reads(ins):
+            if name in declared:
+                loads.add((n, name))
+        w = node_global_write(ins)
+        if w is not None and w in declared:
+            stores.add((n, w))
+    return AccessInfo(loads=frozenset(loads), stores=frozenset(stores))
 
 
 @dataclass(frozen=True)

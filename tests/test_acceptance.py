@@ -21,7 +21,6 @@ from irqverify import (
     collect_traces,
     dominators,
     enumerate_executions,
-    intercepted_stores,
     leq,
     parse_program,
     post_dominators,
@@ -29,11 +28,12 @@ from irqverify import (
 )
 from irqverify.domain import join as state_join, widen as state_widen
 
-from cfg_reference import dominance_pairs
+from cfg_reference import mask_pairs
 from conftest import CORPUS_NAMES, corpus_path, load_corpus
 from progen import oracle_budget, random_program
 from test_cfg import _small_random_cfgs, brute_dominators, brute_post_dominators
 from test_domain import random_interval, random_state
+from test_feasibility import intercepted_stores
 
 SWEEP_SIZE = 500
 BUDGET3_SWEEP_SIZE = 100
@@ -100,7 +100,7 @@ def test_golden_loop_case():
     load_x, store_one = NodeId("irq0", 1), NodeId("irq1", 4)
     assert (load_x, store_one, "x") in rejected_pairs(result.feasibility)
     # justified by interception: the x=0 store post-dominates the x=1 store
-    assert (store_one, "x") in intercepted_stores(result.facts)
+    assert (store_one, "x") in intercepted_stores(result.feasibility)
     assert elapsed < 1.0
 
 
@@ -262,8 +262,8 @@ def test_lattice_and_dominance_properties():
     assert small, "no small graphs generated"
     for g in small:
         assert len(g.nodes) <= 12
-        assert dominance_pairs(dominators(g)) == brute_dominators(g)
-        assert dominance_pairs(post_dominators(g)) == brute_post_dominators(g)
+        assert mask_pairs(g, dominators(g)) == brute_dominators(g)
+        assert mask_pairs(g, post_dominators(g)) == brute_post_dominators(g)
 
 
 # ---------------------------------------------------------------------------

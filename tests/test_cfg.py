@@ -1,10 +1,10 @@
 import random
 
-from irqverify import access_info, build_cfg, dominators, parse_program, post_dominators
-from irqverify.cfg import NodeId, dump_cfg
+from irqverify import build_cfg, dominators, parse_program, post_dominators
+from irqverify.cfg import NodeId, access_info, dump_cfg
 from irqverify.ir import Assert, Assign, Skip
 
-from cfg_reference import dominance_pairs
+from cfg_reference import mask_pairs
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
 
@@ -33,13 +33,8 @@ def assert_node(g):
 
 
 def index_pairs(masks):
-    """`dominance_pairs` of one handler's masks, as pairs of node indices."""
-    return {(a.index, b.index) for a, b in dominance_pairs(masks)}
-
-
-def index_sites(g, sites):
-    """Access sites (node, variable) of g, with each node as its index; every node must be g's."""
-    return {(g.nodes.index(n), v) for n, v in sites}
+    """The pairs (a, b) of node indices where a is in b's mask."""
+    return {(a, b) for b, mask in enumerate(masks) for a in range(mask.bit_length()) if mask >> a & 1}
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +107,7 @@ def test_every_node_reachable_from_entry_on_corpus():
 def test_straight_line_dominance_is_prefix_order():
     p = parse_program("global x = 0; handler h priority 0 { x = 1; x = 2; x = 3; }")
     g = build_cfg(p.handlers[0])
-    dom = dominance_pairs(dominators(g))
+    dom = mask_pairs(g, dominators(g))
     order = g.nodes
     for i, a in enumerate(order):
         for j, b in enumerate(order):
@@ -146,7 +141,7 @@ def test_exit_postdominates_everything_on_corpus():
         p = load_corpus(name)
         for h in p.handlers:
             g = build_cfg(h)
-            postdom = dominance_pairs(post_dominators(g))
+            postdom = mask_pairs(g, post_dominators(g))
             for n in g.nodes:
                 assert (g.exit, n) in postdom
 
@@ -207,8 +202,8 @@ def _small_random_cfgs(limit_nodes=12, count=150):
 
 def test_dominance_matches_path_enumeration_on_small_cfgs():
     for g in _small_random_cfgs():
-        assert dominance_pairs(dominators(g)) == brute_dominators(g)
-        assert dominance_pairs(post_dominators(g)) == brute_post_dominators(g)
+        assert mask_pairs(g, dominators(g)) == brute_dominators(g)
+        assert mask_pairs(g, post_dominators(g)) == brute_post_dominators(g)
 
 
 def test_dominance_is_a_partial_order_with_tree_property():
@@ -216,7 +211,7 @@ def test_dominance_is_a_partial_order_with_tree_property():
         p = load_corpus(name)
         for h in p.handlers:
             g = build_cfg(h)
-            for rel in (dominance_pairs(dominators(g)), dominance_pairs(post_dominators(g))):
+            for rel in (mask_pairs(g, dominators(g)), mask_pairs(g, post_dominators(g))):
                 nodes = g.nodes
                 for a in nodes:
                     assert (a, a) in rel
@@ -227,7 +222,7 @@ def test_dominance_is_a_partial_order_with_tree_property():
                     for (c, d) in rel:
                         if d == a:
                             assert (c, b) in rel
-            dom = dominance_pairs(dominators(g))
+            dom = mask_pairs(g, dominators(g))
             for n in nodes:
                 doms = sorted(a for (a, b) in dom if b == n)
                 # dominators of any node are totally ordered among themselves
@@ -245,16 +240,17 @@ def test_access_info_three_priorities():
     p = load_corpus("three_priorities")
     g = handler_cfg(p, "irq_M")
     info = access_info(g, p)
-    assert index_sites(g, info.stores) == {(assign_node(g, "y", 1), "y"),
-                                           (assign_node(g, "x", 1), "x")}
-    assert index_sites(g, info.loads) == {(assert_node(g), "x")}
+    assert len(info.loads) == len(info.store) == len(g.nodes)
+    assert {(i, v) for i, v in enumerate(info.store) if v is not None} == {(assign_node(g, "y", 1), "y"),
+                                                                          (assign_node(g, "x", 1), "x")}
+    assert {(i, v) for i, vs in enumerate(info.loads) for v in vs} == {(assert_node(g), "x")}
 
 
 def test_access_info_locals_only_is_empty():
     p = parse_program("global x = 0; handler h priority 0 { local t = 1; t = t + 1; }")
     g = build_cfg(p.handlers[0])
     info = access_info(g, p)
-    assert info.loads == frozenset() and info.stores == frozenset()
+    assert info.loads == ((),) * len(g.nodes) and info.store == (None,) * len(g.nodes)
 
 
 def test_access_info_compound_load_store_same_node():
@@ -262,15 +258,15 @@ def test_access_info_compound_load_store_same_node():
     g = handler_cfg(p, "irq0")
     info = access_info(g, p)
     copy = assign_node(g, "b")
-    assert (copy, "x") in index_sites(g, info.loads) and (copy, "b") in index_sites(g, info.stores)
-    assert (assert_node(g), "b") in index_sites(g, info.loads)
+    assert "x" in info.loads[copy] and info.store[copy] == "b"
+    assert "b" in info.loads[assert_node(g)]
 
 
 def test_access_info_branch_conditions_load_globals():
     p = parse_program("global x = 0; handler h priority 0 { if (x == 1) { x = 2; } }")
     g = build_cfg(p.handlers[0])
     info = access_info(g, p)
-    arms = [n for (n, v) in info.loads if v == "x"]
+    arms = [i for i, vs in enumerate(info.loads) if "x" in vs]
     assert len(arms) == 2  # both assume arms read x
 
 

@@ -7,7 +7,6 @@ from irqverify.domain import (
     TOP,
     AbstractState,
     Interval,
-    Verdict,
     _refine,
     assume_cond,
     check_assert,
@@ -287,13 +286,13 @@ def test_eval_expr_scaling_and_negation():
 
 
 def test_check_assert_examples():
-    assert check_assert(Cmp("==", G("x"), Const(1)), state(x=(1, 1))) is Verdict.PROVED
-    assert check_assert(Cmp("==", G("x"), Const(0)), state(x=(0, 1))) is Verdict.UNKNOWN
-    assert check_assert(Cmp("==", G("y"), Const(0)), AbstractState.bottom()) is Verdict.PROVED
-    assert check_assert(Cmp("!=", G("x"), Const(5)), state(x=(0, 4))) is Verdict.PROVED
-    assert check_assert(Cmp("<", G("x"), G("y")), state(x=(0, 1), y=(2, 9))) is Verdict.PROVED
-    assert check_assert(Cmp("<=", G("x"), G("y")), state(x=(0, 2), y=(2, 9))) is Verdict.PROVED
-    assert check_assert(Cmp(">", G("x"), Const(0)), state(x=(0, 5))) is Verdict.UNKNOWN
+    assert check_assert(Cmp("==", G("x"), Const(1)), state(x=(1, 1))) is True
+    assert check_assert(Cmp("==", G("x"), Const(0)), state(x=(0, 1))) is False
+    assert check_assert(Cmp("==", G("y"), Const(0)), AbstractState.bottom()) is True
+    assert check_assert(Cmp("!=", G("x"), Const(5)), state(x=(0, 4))) is True
+    assert check_assert(Cmp("<", G("x"), G("y")), state(x=(0, 1), y=(2, 9))) is True
+    assert check_assert(Cmp("<=", G("x"), G("y")), state(x=(0, 2), y=(2, 9))) is True
+    assert check_assert(Cmp(">", G("x"), Const(0)), state(x=(0, 5))) is False
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,24 @@ The reference functions below are the implementation that per-node bitmasks
 replaced: an iterative set dataflow materialized as a node-pair relation, and
 all-pairs scans for covered loads and intercepted stores. They are kept
 verbatim as test oracles and read graphs of the NodeId-keyed lowering of
-`cfg_reference`; every handler of the corpus and of progen seeds 0-499 must
-give the same relations and the same derived sets.
+`cfg_reference`, and the scans read the load and store sets of the old
+`cfg_reference.access_info`. Every handler of the corpus and of progen seeds
+0-499 must give the same relations, and the covered and intercepted flags of
+the class table must give the same derived sets.
 """
 
 import random
 
 import pytest
 
-from irqverify import covered_loads, dominators, extract_facts, intercepted_stores, post_dominators
+from irqverify import dominators, must_not_read_from, post_dominators
 from irqverify.cfg import NodeId, build_all
+from irqverify.feasibility import extract_facts
 
-from cfg_reference import build_cfg, dominance_pairs
+from cfg_reference import access_info, build_cfg, mask_pairs
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
+from test_feasibility import covered_loads, intercepted_stores
 
 
 def _dominance_sets(nodes, root, edges_into):
@@ -76,13 +80,16 @@ def _check_against_reference(program, label):
         ref = build_cfg(handler)
         ref_dom = reference_dominators(ref)
         ref_postdom = reference_post_dominators(ref)
-        assert dominance_pairs(dominators(g)) == ref_dom, (label, g.handler)
-        assert dominance_pairs(post_dominators(g)) == ref_postdom, (label, g.handler)
+        assert mask_pairs(g, dominators(g)) == ref_dom, (label, g.handler)
+        assert mask_pairs(g, post_dominators(g)) == ref_postdom, (label, g.handler)
         dom |= ref_dom
         postdom |= ref_postdom
-    fb = extract_facts(program, cfgs, infos)
-    assert covered_loads(fb) == reference_covered_loads(fb.load, fb.store, dom), label
-    assert intercepted_stores(fb) == reference_intercepted_stores(fb.store, postdom), label
+    old = [access_info(g, program) for g in cfgs]
+    load = frozenset().union(*(info.loads for info in old))
+    store = frozenset().union(*(info.stores for info in old))
+    result = must_not_read_from(extract_facts(program, cfgs, infos))
+    assert covered_loads(result) == reference_covered_loads(load, store, dom), label
+    assert intercepted_stores(result) == reference_intercepted_stores(store, postdom), label
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

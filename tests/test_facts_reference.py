@@ -4,13 +4,15 @@ The reference below is the dump that printed NoPreempt by expanding the
 relation over every node pair and then sorted all lines at once, with the
 per-node priority facts it read. `reference_extract_facts`, `reference_no_preempt`
 and `reference_dump_facts` are kept verbatim as test oracles; only names,
-docstrings and the fact base's class name differ, and the dump's Dom, PostDom
-and MustNotReadFrom lines come from a local mask expansion and the per-pair
-`reference_must_not_read_from`, not from the package's `dominance_pairs` and
-`rejected_pairs`, so the reference shares no expansion code with the dump.
-Its CoveredLoad and InterceptedStore lines come from `covered_loads` and
-`intercepted_stores` on the fact base, where the dump reads the class flags
-of the feasibility result.
+docstrings and the fact base's class name differ. The reference shares no
+fact code with the package: it reads the frozenset `AccessInfo` of the old
+`cfg_reference.access_info` and the dominance masks as a `NodeId`-keyed map,
+its NoPreempt test is `reference_cannot_preempt`, its Dom, PostDom and
+MustNotReadFrom lines come from a local mask expansion and the per-pair
+`reference_must_not_read_from`, and its CoveredLoad and InterceptedStore
+lines from the all-pairs scans of `test_dominance_reference`, where the dump
+reads the class flags of the feasibility result. The fact base caches its
+priority map and its covered and intercepted sets.
 The dump must give the same line list on the corpus, on progen seeds 0-499,
 on 8-handler progen programs, and on handlers whose node names do not sort
 in (handler, index) order.
@@ -18,17 +20,30 @@ in (handler, index) order.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 
-from irqverify import extract_facts, must_not_read_from, parse_program
-from irqverify.cfg import AccessInfo, Cfg, NodeId, build_all, dominators, post_dominators
-from irqverify.feasibility import _cannot_preempt, covered_loads, dump_facts, intercepted_stores
+from irqverify import cfg, must_not_read_from, parse_program
+from irqverify.cfg import Cfg, NodeId, build_all
+from irqverify.feasibility import dump_facts, extract_facts
 from irqverify.ir import Program
 
+from cfg_reference import AccessInfo, access_info
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
-from test_feasibility_reference import reference_must_not_read_from
+from test_dominance_reference import reference_covered_loads, reference_intercepted_stores
+from test_feasibility_reference import reference_cannot_preempt, reference_must_not_read_from
+
+
+def dominators(g: Cfg) -> dict[NodeId, int]:
+    """The package's dominator masks keyed by node, as the reference reads them."""
+    return dict(zip(g.nodes, cfg.dominators(g)))
+
+
+def post_dominators(g: Cfg) -> dict[NodeId, int]:
+    """The package's post-dominator masks keyed by node, as the reference reads them."""
+    return dict(zip(g.nodes, cfg.post_dominators(g)))
 
 
 @dataclass(frozen=True)
@@ -39,10 +54,20 @@ class ReferenceFactBase:
     load: frozenset[tuple[NodeId, str]]
     store: frozenset[tuple[NodeId, str]]
 
-    @property
+    @cached_property
     def priority(self) -> dict[str, int]:
         """What `reference_must_not_read_from` reads priorities from."""
         return reference_priorities(self)
+
+    @cached_property
+    def covered(self) -> frozenset[tuple[NodeId, str]]:
+        """Loads dominated by a same-handler store of the same variable."""
+        return reference_covered_loads(self.load, self.store, reference_dominance_pairs(self.dom))
+
+    @cached_property
+    def intercepted(self) -> frozenset[tuple[NodeId, str]]:
+        """Stores post-dominated by a same-handler store of the same variable."""
+        return reference_intercepted_stores(self.store, reference_dominance_pairs(self.postdom))
 
 
 def reference_dominance_pairs(masks: dict[NodeId, int]) -> set[tuple[NodeId, NodeId]]:
@@ -78,9 +103,8 @@ def reference_priorities(fb: ReferenceFactBase) -> dict[str, int]:
 
 def reference_no_preempt(fb: ReferenceFactBase) -> frozenset[tuple[NodeId, NodeId]]:
     """The NoPreempt relation expanded over all node pairs."""
-    priority = reference_priorities(fb)
     return frozenset((s1, s2) for s1 in fb.pri for s2 in fb.pri
-                     if _cannot_preempt(priority, s1.handler, s2.handler))
+                     if reference_cannot_preempt(fb, s1, s2))
 
 
 def reference_dump_facts(fb: ReferenceFactBase) -> list[str]:
@@ -92,16 +116,18 @@ def reference_dump_facts(fb: ReferenceFactBase) -> list[str]:
     lines += [f"Load({n}, {v})" for n, v in fb.load]
     lines += [f"Store({n}, {v})" for n, v in fb.store]
     lines += [f"NoPreempt({a}, {b})" for a, b in reference_no_preempt(fb)]
-    lines += [f"CoveredLoad({n}, {v})" for n, v in covered_loads(fb)]
-    lines += [f"InterceptedStore({n}, {v})" for n, v in intercepted_stores(fb)]
+    lines += [f"CoveredLoad({n}, {v})" for n, v in fb.covered]
+    lines += [f"InterceptedStore({n}, {v})" for n, v in fb.intercepted]
     lines += [f"MustNotReadFrom({l}, {s}, {v})" for l, s, v in reference_must_not_read_from(fb)[0]]
     return sorted(lines)
 
 
 def both_dumps(program: Program) -> tuple[list[str], list[str]]:
     cfgs, infos = build_all(program)
-    fb = extract_facts(program, cfgs, infos)
-    return dump_facts(fb, must_not_read_from(fb)), reference_dump_facts(reference_extract_facts(program, cfgs, infos))
+    facts = extract_facts(program, cfgs, infos)
+    old_infos = [access_info(g, program) for g in cfgs]
+    return (dump_facts(facts, must_not_read_from(facts)),
+            reference_dump_facts(reference_extract_facts(program, cfgs, old_infos)))
 
 
 def prefix_handlers(pri_a: int, pri_a1: int) -> Program:

@@ -1,25 +1,19 @@
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
-from irqverify import (
-    analyze,
-    covered_loads,
-    extract_facts,
-    intercepted_stores,
-    must_not_read_from,
-    no_preempt,
-    parse_program,
-    rejected_pairs,
-)
+import irqverify
+from irqverify import analyze, must_not_read_from, parse_program, rejected_pairs
 from irqverify import feasibility
-from irqverify.cfg import build_all
+from irqverify.cfg import NodeId, build_all
 from irqverify.cli import main
-from irqverify.feasibility import cross_pairs, dump_facts
+from irqverify.feasibility import cross_pairs, dump_facts, extract_facts, no_preempt
 from irqverify.ir import Assert, Assign, Handler, format_program
 
-from cfg_reference import dominance_pairs
 from conftest import CORPUS_NAMES, corpus_path, load_corpus
 from progen import random_program
 
@@ -27,6 +21,28 @@ from progen import random_program
 def facts_of(program):
     cfgs, infos = build_all(program)
     return extract_facts(program, cfgs, infos), cfgs
+
+
+def load_sites(facts):
+    """Every (load node, variable) of the per-handler records."""
+    return {(f.graph.nodes[i], v) for f in facts for i, vs in enumerate(f.loads) for v in vs}
+
+
+def store_sites(facts):
+    """Every (store node, variable) of the per-handler records."""
+    return {(f.graph.nodes[i], v) for f in facts for i, v in enumerate(f.store) if v is not None}
+
+
+def covered_loads(result):
+    """The CoveredLoad relation: the (node, variable) loads of every covered load class."""
+    return frozenset((NodeId(h, i), v) for h, classes in result.load_classes.items()
+                     for (v, _, covered), sites in classes.items() if covered for i in sites)
+
+
+def intercepted_stores(result):
+    """The InterceptedStore relation: the (node, variable) stores of every intercepted store class."""
+    return frozenset((NodeId(h, i), v) for h, classes in result.store_classes.items()
+                     for (v, _, intercepted), sites in classes.items() if intercepted for i in sites)
 
 
 def find_node(cfgs, handler, predicate):
@@ -56,15 +72,18 @@ def assert_node_of(cfgs, handler):
 def test_priorities_attach_to_every_node_of_a_handler():
     fb, cfgs = facts_of(load_corpus("three_priorities"))
     want = {"irq_H": 2, "irq_L": 0, "irq_M": 1}
-    assert fb.priority == want
+    assert {f.handler: f.priority for f in fb} == want
     pri_lines = [line for line in dump_facts(fb, must_not_read_from(fb)) if line.startswith("Pri(")]
     assert sorted(pri_lines) == sorted(f"Pri({n}, {want[g.handler]})" for g in cfgs for n in g.nodes)
 
 
 def test_dominance_facts_never_cross_handlers():
-    fb, _ = facts_of(load_corpus("three_priorities"))
-    for a, b in dominance_pairs(fb.dom) | dominance_pairs(fb.postdom):
-        assert a.handler == b.handler
+    fb, cfgs = facts_of(load_corpus("three_priorities"))
+    for f, g in zip(fb, cfgs):
+        assert f.graph is g
+        for masks in (f.dom, f.postdom):
+            assert len(masks) == len(g.nodes)
+            assert all(0 < mask < 1 << len(g.nodes) for mask in masks)
 
 
 def test_load_store_facts_loop_program():
@@ -74,8 +93,8 @@ def test_load_store_facts_loop_program():
     check = assert_node_of(cfgs, "irq0")
     s1 = store_node(cfgs, "irq1", "x", 1)
     s0 = store_node(cfgs, "irq1", "x", 0)
-    assert fb.store == {(copy, "b"), (s1, "x"), (s0, "x")}
-    assert fb.load == {(copy, "x"), (check, "b")}
+    assert store_sites(fb) == {(copy, "b"), (s1, "x"), (s0, "x")}
+    assert load_sites(fb) == {(copy, "x"), (check, "b")}
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +160,23 @@ def test_no_preempt_monotone_under_handler_addition():
 def test_covered_load_cases():
     p = load_corpus("covered_and_intercepted")
     fb, cfgs = facts_of(p)
-    assert (assert_node_of(cfgs, "irq0"), "x") in covered_loads(fb)
+    assert (assert_node_of(cfgs, "irq0"), "x") in covered_loads(must_not_read_from(fb))
 
     q = load_corpus("branch_overwrites")
     fbq, cq = facts_of(q)
-    covered = covered_loads(fbq)
+    covered = covered_loads(must_not_read_from(fbq))
     assert (assert_node_of(cq, "irq_H"), "y") not in covered  # no same-handler store of y
     assert (assert_node_of(cq, "irq_L"), "y") in covered
 
     r = load_corpus("three_priorities")
     fbr, cr = facts_of(r)
-    assert (assert_node_of(cr, "irq_M"), "x") in covered_loads(fbr)
+    assert (assert_node_of(cr, "irq_M"), "x") in covered_loads(must_not_read_from(fbr))
 
 
 def test_compound_node_does_not_cover_its_own_load():
     p = parse_program("global x = 0; handler h priority 0 { x = x + 1; local t = x; }")
     fb, cfgs = facts_of(p)
-    covered = covered_loads(fb)
+    covered = covered_loads(must_not_read_from(fb))
     bump = find_node(cfgs, "h", lambda i: isinstance(i, Assign) and i.target.name == "x")
     copy = find_node(cfgs, "h", lambda i: isinstance(i, Assign) and i.target.name == "t")
     assert (bump, "x") not in covered  # its own store does not cover it
@@ -167,13 +186,13 @@ def test_compound_node_does_not_cover_its_own_load():
 def test_intercepted_store_cases():
     p = load_corpus("loop_store_overwrite")
     fb, cfgs = facts_of(p)
-    intercepted = intercepted_stores(fb)
+    intercepted = intercepted_stores(must_not_read_from(fb))
     assert (store_node(cfgs, "irq1", "x", 1), "x") in intercepted
     assert (store_node(cfgs, "irq1", "x", 0), "x") not in intercepted  # last on some path
 
     q = load_corpus("branch_overwrites")
     fbq, cq = facts_of(q)
-    iq = intercepted_stores(fbq)
+    iq = intercepted_stores(must_not_read_from(fbq))
     assert (store_node(cq, "irq_M", "y", 0), "y") in iq
     assert (store_node(cq, "irq_M", "y", 1), "y") not in iq
 
@@ -243,7 +262,7 @@ def test_rejections_are_cross_handler_same_variable():
         rejected = rejected_pairs(must_not_read_from(fb))
         for (l, s, v) in rejected:
             assert l.handler != s.handler
-            assert (l, v) in fb.load and (s, v) in fb.store
+            assert (l, v) in load_sites(fb) and (s, v) in store_sites(fb)
         assert rejected <= cross_pairs(fb)
 
 
@@ -259,8 +278,8 @@ def test_every_rejection_is_justified_by_a_rule():
         p = random_program(random.Random(seed))
         fb, _ = facts_of(p)
         result = must_not_read_from(fb)
-        covered = covered_loads(fb)
-        intercepted = intercepted_stores(fb)
+        covered = covered_loads(result)
+        intercepted = intercepted_stores(result)
         np = no_preempt(fb)
         for (l, s, v) in rejected_pairs(result):
             r1 = (l, v) in covered and (s, v) in intercepted
@@ -276,6 +295,39 @@ def test_dump_facts_is_sorted_and_complete():
     assert lines == sorted(lines)
     assert any(line.startswith("MustNotReadFrom(") for line in lines)
     assert any(line.startswith("Pri(") for line in lines)
+
+
+# A program's class table and plans, printed in order, one line each.
+CLASS_TABLE_SCRIPT = """
+import random
+from irqverify.analyzer import plan_handler, prepare
+from conftest import CORPUS_NAMES, load_corpus
+from progen import random_program
+
+programs = [load_corpus(name) for name in CORPUS_NAMES]
+programs += [random_program(random.Random(seed)) for seed in range(20)]
+for program in programs:
+    cfgs, _, feas = prepare(program)
+    print(repr(feas.load_classes))
+    print(repr(feas.rejected))
+    for g in cfgs:
+        for pruning in (True, False):
+            plan = plan_handler(g, feas, pruning)
+            print(repr((plan.reads, plan.sources, plan.stores)))
+"""
+
+
+def test_class_table_does_not_depend_on_the_hash_seed():
+    """`prepare` and the plans are a function of the program: the class table
+    and every plan come out in the same order whatever the string hashes."""
+    path = os.pathsep.join([str(pathlib.Path(irqverify.__file__).parent.parent),
+                            str(pathlib.Path(__file__).parent)])
+    outputs = [subprocess.run([sys.executable, "-c", CLASS_TABLE_SCRIPT], check=True, timeout=120,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout
+               for seed in ("0", "1")]
+    assert outputs[0].count("\n") > 28
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +389,10 @@ def test_rejects_runs_once_per_class_pair(monkeypatch, capsys, name):
     counted here from the facts, not from the feasibility result.
     """
     fb, _ = facts_of(load_corpus(name))
-    covered, intercepted = covered_loads(fb), intercepted_stores(fb)
-    load_classes = {(v, l.handler, (l, v) in covered) for l, v in fb.load}
-    store_classes = {(v, s.handler, (s, v) in intercepted) for s, v in fb.store}
+    result = must_not_read_from(fb)
+    covered, intercepted = covered_loads(result), intercepted_stores(result)
+    load_classes = {(v, l.handler, (l, v) in covered) for l, v in load_sites(fb)}
+    store_classes = {(v, s.handler, (s, v) in intercepted) for s, v in store_sites(fb)}
     want = sum(1 for v, lh, _ in load_classes for w, sh, _ in store_classes if v == w and lh != sh)
 
     real_rejects = feasibility.rejects

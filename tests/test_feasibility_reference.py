@@ -9,9 +9,14 @@ entry at every visit. `reference_analyze` is the outer loop of `analyze`
 with its `collect_interferences` and `_merge_interferences`, reading
 rejected triples instead of load and store classes. They are kept as test
 oracles with their logic unchanged; only names, docstrings, the rule loop's
-return value and the reference report's pair counts (taken from the
-reference rules) differ, and `reference_analyze` builds its graphs with the
-NodeId-keyed lowering of `cfg_reference`. On the corpus and progen seeds 0-499 the rejected
+return value, the reference report's pair counts (taken from the
+reference rules) and its reading of the boolean `check_assert` differ, and
+`reference_analyze` builds its graphs with the NodeId-keyed lowering of
+`cfg_reference`. The rules read a `ReferenceFacts` record: the (node,
+variable) load and store sets of the old `cfg_reference.access_info`, and the
+covered loads and intercepted stores read off the class flags of the
+package's class table (`test_dominance_reference.py` checks those flags
+against all-pairs scans). On the corpus and progen seeds 0-499 the rejected
 triples and the pair counts must be the same; on the corpus, seeds 0-499 and
 20 eight-handler programs `analyze` must give the same node states and
 report, with pruning on and off, and with widening from the second round.
@@ -19,10 +24,11 @@ report, with pruning on and off, and with widening from the second round.
 
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
-from irqverify import extract_facts, must_not_read_from, rejected_pairs
+from irqverify import FeasibilityResult, must_not_read_from, rejected_pairs
 from irqverify.analyzer import (
     AnalysisConfig,
     AnalysisReport,
@@ -31,33 +37,36 @@ from irqverify.analyzer import (
     analyze,
 )
 from irqverify.cfg import NodeId, build_all, node_global_reads, node_global_write
-from irqverify.domain import (
-    AbstractState,
-    Interval,
-    Verdict,
-    check_assert,
-    join,
-    leq,
-    transfer,
-    widen,
-)
-from irqverify.feasibility import FactBase, covered_loads, intercepted_stores
+from irqverify.domain import AbstractState, Interval, check_assert, join, leq, transfer, widen
+from irqverify.feasibility import extract_facts
 from irqverify.ir import Assert, Program
 
-from cfg_reference import Cfg, build_cfg
+from cfg_reference import Cfg, access_info, build_cfg
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
+from test_feasibility import covered_loads, intercepted_stores
 
 #: Per-variable interference: ordered (store node, written value) pairs.
 InterferenceMap = dict[str, tuple[tuple[NodeId, Interval], ...]]
 
 
-def reference_cannot_preempt(fb: FactBase, s1: NodeId, s2: NodeId) -> bool:
+@dataclass(frozen=True)
+class ReferenceFacts:
+    """What the per-pair rules read of one program, as (node, variable) sets."""
+
+    priority: dict[str, int]  # handler name -> priority
+    load: frozenset[tuple[NodeId, str]]
+    store: frozenset[tuple[NodeId, str]]
+    covered: frozenset[tuple[NodeId, str]]
+    intercepted: frozenset[tuple[NodeId, str]]
+
+
+def reference_cannot_preempt(fb: ReferenceFacts, s1: NodeId, s2: NodeId) -> bool:
     """NoPreempt(s1, s2): cross-handler and pri(s2) >= pri(s1)."""
     return s1.handler != s2.handler and fb.priority[s2.handler] >= fb.priority[s1.handler]
 
 
-def reference_cross_pairs(fb: FactBase) -> frozenset[tuple[NodeId, NodeId, str]]:
+def reference_cross_pairs(fb: ReferenceFacts) -> frozenset[tuple[NodeId, NodeId, str]]:
     """All cross-handler same-variable (load, store) pairs the analysis weighs."""
     return frozenset(
         (l, s, v)
@@ -67,10 +76,10 @@ def reference_cross_pairs(fb: FactBase) -> frozenset[tuple[NodeId, NodeId, str]]
     )
 
 
-def reference_must_not_read_from(fb: FactBase):
+def reference_must_not_read_from(fb: ReferenceFacts):
     """The rules over every cross pair: (rejected triples, number of pairs)."""
-    covered = covered_loads(fb)
-    intercepted = intercepted_stores(fb)
+    covered = fb.covered
+    intercepted = fb.intercepted
     pairs = reference_cross_pairs(fb)
     rejected: set[tuple[NodeId, NodeId, str]] = set()
     for (l, s, v) in pairs:
@@ -154,15 +163,21 @@ def reference_analyze_local(g: Cfg, interference: InterferenceMap,
     return post
 
 
-def _facts(program):
+def _facts(program: Program) -> tuple[ReferenceFacts, FeasibilityResult]:
+    """The reference facts of program, and the package's class table they read the flags of."""
     cfgs, infos = build_all(program)
-    return extract_facts(program, cfgs, infos)
+    result = must_not_read_from(extract_facts(program, cfgs, infos))
+    old = [access_info(g, program) for g in cfgs]
+    fb = ReferenceFacts(priority={h.name: h.priority for h in program.handlers},
+                        load=frozenset().union(*(info.loads for info in old)),
+                        store=frozenset().union(*(info.stores for info in old)),
+                        covered=covered_loads(result), intercepted=intercepted_stores(result))
+    return fb, result
 
 
 def _check_relation(program, label):
-    fb = _facts(program)
+    fb, result = _facts(program)
     want_rejected, want_total = reference_must_not_read_from(fb)
-    result = must_not_read_from(fb)
     assert rejected_pairs(result) == want_rejected, label
     assert (result.pairs_total, result.pairs_pruned) == (want_total, len(want_rejected)), label
 
@@ -202,7 +217,7 @@ def reference_merge_interferences(maps: list[InterferenceMap]) -> InterferenceMa
 def reference_analyze(program: Program, config: AnalysisConfig) -> tuple[NodeStates, AnalysisReport]:
     """Rounds over every handler against the merged per-store interference."""
     cfgs = [build_cfg(h) for h in program.handlers]
-    rejected, pairs_total = reference_must_not_read_from(_facts(program))
+    rejected, pairs_total = reference_must_not_read_from(_facts(program)[0])
     rejected_active = rejected if config.pruning else None
 
     global_names = program.global_names()
@@ -236,11 +251,10 @@ def reference_analyze(program: Program, config: AnalysisConfig) -> tuple[NodeSta
         for n in g.nodes:
             ins = g.instr[n]
             if isinstance(ins, Assert):
-                v = check_assert(ins.cond, states[n])
                 verdicts.append(VerdictEntry(
                     assertion_id=ins.uid,
                     handler=g.handler,
-                    verdict="Proved" if v is Verdict.PROVED else "Warning",
+                    verdict="Proved" if check_assert(ins.cond, states[n]) else "Warning",
                 ))
 
     report = AnalysisReport(

@@ -173,8 +173,8 @@ def test_rejected_pairs_never_observed_on_corpus():
 def test_observed_flows_pair_same_variable_loads_and_stores():
     p = load_corpus("three_priorities")
     cfgs, infos = build_all(p)
-    loads = {pair for info in infos for pair in info.loads}
-    stores = {pair for info in infos for pair in info.stores}
+    loads = {(g.nodes[i], v) for g, info in zip(cfgs, infos) for i, vs in enumerate(info.loads) for v in vs}
+    stores = {(g.nodes[i], v) for g, info in zip(cfgs, infos) for i, v in enumerate(info.store) if v}
     result = enumerate_executions(p, OracleConfig(max_invocations=2, track_flows=True))
     for (l, s, v) in result.flows:
         assert (l, v) in loads
