@@ -81,7 +81,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for g in result.cfgs:
             print("\n".join(dump_cfg(g)))
     if args.dump_facts:
-        print("\n".join(dump_facts(result.facts, result.feasibility)))
+        dump_facts(result.facts, result.feasibility, sys.stdout.write)
     print(_render_report(result.report, args.json))
     return 1 if any(v.verdict == "Warning" for v in result.report.verdicts) else 0
 
@@ -98,7 +98,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_facts(args: argparse.Namespace) -> int:
     _, facts, feasibility = prepare(_load(args.path))
-    print("\n".join(dump_facts(facts, feasibility)))
+    dump_facts(facts, feasibility, sys.stdout.write)
     return 0
 
 

@@ -19,8 +19,9 @@ handlers, so everything but the last step reads one record at a time.
 * ``NoPreempt(h1, h2)``: h1 can never interleave into h2, because h2's
   priority is at least h1's (equal priorities never preempt). It depends only
   on the two handlers, so it is decided per pair of records; ``dump_facts``
-  prints it as the cross product of their nodes, and ``no_preempt`` expands
-  it into node pairs for callers that want the relation as a set.
+  writes it as the cross product of their nodes, generated already in sorted
+  order, and ``no_preempt`` expands it into node pairs for callers that want
+  the relation as a set.
 
 A cross-handler pair (load l, store s) of the same variable is rejected when
 (1) l is covered and s is intercepted, (2) l is covered and s's handler cannot
@@ -33,15 +34,16 @@ each record's masks, groups the record's sites into its classes, and calls
 Its result is the one class table every consumer reads: the pair counts are
 sums of class-size products, the analysis reads per load class the store
 classes it admits, and one generator expands only the rejected pairs of
-classes into node pairs, which the facts dump prints and ``rejected_pairs``
-collects. All rules are non-recursive; no fixpoint or external solver is
-involved.
+classes into node pairs, which the facts dump writes and ``rejected_pairs``
+collects. The dump streams each relation handler by handler; only NoPreempt
+is written without a sort. All rules are non-recursive; no fixpoint or
+external solver is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
 from .ir import Program
@@ -178,74 +180,89 @@ def must_not_read_from(facts: list[HandlerFacts]) -> FeasibilityResult:
                              pairs_total=total, pairs_pruned=pruned)
 
 
-def _expand_rejected(result: FeasibilityResult) -> Iterator[tuple[str, int, str, int, str]]:
-    """(load handler, load node, store handler, store node, variable) for every
-    node pair of every rejected pair of classes."""
-    for load_class, store_classes in result.rejected.items():
-        v, lh, _ = load_class
-        loads = result.load_classes[lh][load_class]
-        for store_class in store_classes:
+def _expand_rejected(result: FeasibilityResult, lh: str) -> Iterator[tuple[int, str, int, str]]:
+    """(load node, store handler, store node, variable) for every node pair of
+    every rejected pair of classes whose loads are in handler `lh`."""
+    for load_class, loads in result.load_classes[lh].items():
+        v = load_class[0]
+        for store_class in result.rejected[load_class]:
             sh = store_class[1]
             stores = result.store_classes[sh][store_class]
             for l in loads:
                 for s in stores:
-                    yield lh, l, sh, s, v
+                    yield l, sh, s, v
 
 
 def rejected_pairs(result: FeasibilityResult) -> frozenset[tuple[NodeId, NodeId, str]]:
     """The MustNotReadFrom relation expanded into (load, store, variable) triples."""
-    return frozenset((NodeId(lh, l), NodeId(sh, s), v) for lh, l, sh, s, v in _expand_rejected(result))
+    return frozenset((NodeId(lh, l), NodeId(sh, s), v)
+                     for lh in result.load_classes for l, sh, s, v in _expand_rejected(result, lh))
 
 
-def dump_facts(facts: list[HandlerFacts], result: FeasibilityResult) -> list[str]:
-    """One `REL(arg, ...)` tuple per line, sorted lexicographically.
+# Lines per `write` call. Each piece is a few hundred bytes, which Python's
+# small-object allocator serves. Writing a block or a handler at once instead
+# takes blocks of up to a megabyte from the C heap, in which the output buffer
+# of a `StringIO` caller also grows; on the perfbench `facts` batch that left
+# the heap fragmented and the peak RSS of such a caller about 5 MB higher.
+_PIECE = 16
 
-    Each node is formatted once, and every fact reads its node's name by
-    index from the handler's name list. Each relation is one block, sorted on
-    its own, and the blocks follow in relation-name order: every line starts
-    with `Name(` and no name is a prefix of another, so this is the order of
-    one global sort. The sort inside a block stays, because string order is
-    not (handler, index) order: `a1:0` sorts before `a:0`, and `h:10` before
-    `h:2`. NoPreempt is decided once per ordered pair of handlers.
+
+def dump_facts(facts: list[HandlerFacts], result: FeasibilityResult,
+               write: Callable[[str], object]) -> dict[str, int]:
+    """Write one `REL(arg, ...)` tuple per line, sorted lexicographically, through `write`.
+
+    Relations follow in name order (no name is a prefix of another). A line's
+    first argument is a node named `handler:index`, and no handler name holds
+    a colon, so inside a relation the handlers follow in `handler:` order: each
+    handler's lines are built, sorted (`h:10` sorts before `h:2`) and written
+    in pieces of `_PIECE` lines, and no more is held at once. NoPreempt, most
+    of the dump, is never sorted: it is generated in order from each handler's
+    sorted names. Returns each relation's line count, in dump order.
     """
     names = {f.handler: [str(n) for n in f.graph.nodes] for f in facts}
-    # Each handler's node names sorted, and the handlers in the order of
-    # `handler:`. No handler name holds a colon, so this is the sorted order of
-    # all node names, and the NoPreempt block is built already sorted.
     order = sorted(facts, key=lambda f: f.handler + ":")
     sorted_names = {f.handler: sorted(names[f.handler]) for f in order}
-    shielded = {f1.handler: [b for f2 in order if _cannot_preempt(f1, f2) for b in sorted_names[f2.handler]]
-                for f1 in order}
+    counts: dict[str, int] = {}
 
-    def dominance_lines(rel: str, masks_of) -> list[str]:
+    def block(rel: str, lines_of: Callable[[HandlerFacts, list[str]], list[str]]) -> None:
+        counts[rel] = 0
+        for f in order:
+            lines = sorted(lines_of(f, names[f.handler]))
+            for k in range(0, len(lines), _PIECE):
+                write("\n".join(lines[k:k + _PIECE]) + "\n")
+            counts[rel] += len(lines)
+
+    def dominance_lines(rel: str, masks: list[int], at: list[str]) -> list[str]:
         lines = []
-        for f in facts:
-            at = names[f.handler]
-            for b, mask in enumerate(masks_of(f)):
-                while mask:
-                    low = mask & -mask
-                    lines.append(f"{rel}({at[low.bit_length() - 1]}, {at[b]})")
-                    mask ^= low
+        for b, mask in enumerate(masks):
+            while mask:
+                low = mask & -mask
+                lines.append(f"{rel}({at[low.bit_length() - 1]}, {at[b]})")
+                mask ^= low
         return lines
 
-    blocks = {
-        "Dom": dominance_lines("Dom", lambda f: f.dom),
-        "PostDom": dominance_lines("PostDom", lambda f: f.postdom),
-        "Pri": [f"Pri({a}, {f.priority})" for f in facts for a in names[f.handler]],
-        "Load": [f"Load({names[f.handler][i]}, {v})"
-                 for f in facts for i, vs in enumerate(f.loads) for v in vs],
-        "Store": [f"Store({names[f.handler][i]}, {v})"
-                  for f in facts for i, v in enumerate(f.store) if v is not None],
-        "NoPreempt": [f"NoPreempt({a}, {b})" for h, shielded_names in shielded.items()
-                      for a in sorted_names[h] for b in shielded_names],
-        "CoveredLoad": [f"CoveredLoad({names[h][i]}, {v})"
-                        for h, classes in result.load_classes.items()
-                        for (v, _, covered), sites in classes.items() if covered for i in sites],
-        "InterceptedStore": [f"InterceptedStore({names[h][i]}, {v})"
-                             for h, classes in result.store_classes.items()
-                             for (v, _, intercepted), sites in classes.items() if intercepted
-                             for i in sites],
-        "MustNotReadFrom": [f"MustNotReadFrom({names[lh][l]}, {names[sh][s]}, {v})"
-                            for lh, l, sh, s, v in _expand_rejected(result)],
-    }
-    return [line for rel in sorted(blocks) for line in sorted(blocks[rel])]
+    block("CoveredLoad", lambda f, at: [f"CoveredLoad({at[i]}, {v})"
+                                        for (v, _, covered), sites in result.load_classes[f.handler].items()
+                                        if covered for i in sites])
+    block("Dom", lambda f, at: dominance_lines("Dom", f.dom, at))
+    block("InterceptedStore", lambda f, at: [f"InterceptedStore({at[i]}, {v})"
+                                             for (v, _, intercepted), sites
+                                             in result.store_classes[f.handler].items()
+                                             if intercepted for i in sites])
+    block("Load", lambda f, at: [f"Load({at[i]}, {v})" for i, vs in enumerate(f.loads) for v in vs])
+    block("MustNotReadFrom", lambda f, at: [f"MustNotReadFrom({at[l]}, {names[sh][s]}, {v})"
+                                            for l, sh, s, v in _expand_rejected(result, f.handler)])
+    counts["NoPreempt"] = 0
+    for f1 in order:
+        # decided once per ordered pair of handlers
+        shielded = [b for f2 in order if _cannot_preempt(f1, f2) for b in sorted_names[f2.handler]]
+        pieces = [shielded[k:k + _PIECE] for k in range(0, len(shielded), _PIECE)]
+        for a in sorted_names[f1.handler]:
+            head = f"NoPreempt({a}, "
+            for piece in pieces:
+                write(head + (")\n" + head).join(piece) + ")\n")
+        counts["NoPreempt"] += len(sorted_names[f1.handler]) * len(shielded)
+    block("PostDom", lambda f, at: dominance_lines("PostDom", f.postdom, at))
+    block("Pri", lambda f, at: [f"Pri({a}, {f.priority})" for a in at])
+    block("Store", lambda f, at: [f"Store({at[i]}, {v})" for i, v in enumerate(f.store) if v is not None])
+    return counts

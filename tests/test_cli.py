@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from irqverify.cli import main
+from irqverify.ir import format_program
 
 from conftest import CORPUS_NAMES, corpus_path
+from progen import random_program
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,22 @@ def test_analyze_dump_flags(capsys):
     assert "cfg irq0" in out and "cfg irq1" in out
     assert "MustNotReadFrom(irq0:1, irq1:4, x)" in out
     assert any(line.startswith("dom ") for line in out.splitlines())
+
+
+def test_dump_facts_flag_writes_the_facts_dump_before_the_report(capsys, tmp_path):
+    """`analyze --dump-facts` and `facts` share one writer: the first prints
+    exactly what the second does, then the plain report."""
+    paths = [str(corpus_path(name)) for name in CORPUS_NAMES]
+    rng = random.Random(17)
+    for i in range(3):
+        src = tmp_path / f"eight_{i}.irq"
+        src.write_text(format_program(random_program(rng, handler_count=8)))
+        paths.append(str(src))
+    for path in paths:
+        _, both, _ = run_cli(capsys, "analyze", "--dump-facts", path)
+        _, facts, _ = run_cli(capsys, "facts", path)
+        _, report, _ = run_cli(capsys, "analyze", path)
+        assert both == facts + report, path
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,25 @@ MustNotReadFrom lines come from a local mask expansion and the per-pair
 lines from the all-pairs scans of `test_dominance_reference`, where the dump
 reads the class flags of the feasibility result. The fact base caches its
 priority map and its covered and intercepted sets.
-The dump must give the same line list on the corpus, on progen seeds 0-499,
-on 8-handler progen programs, and on handlers whose node names do not sort
-in (handler, index) order.
+The dump is written in pieces of a few lines through a `write` callable; its
+text, split into lines, must give the same line list on the corpus, on
+progen seeds 0-499, on 8-handler progen programs (also with all priorities
+equal, where every ordered pair of handlers is in NoPreempt), on a
+one-handler program (no NoPreempt line), and on handlers whose node names do
+not sort in (handler, index) order. The counts `dump_facts` returns must be
+the line counts of its text.
 """
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import pytest
 
 from irqverify import cfg, must_not_read_from, parse_program
 from irqverify.cfg import Cfg, NodeId, build_all
-from irqverify.feasibility import dump_facts, extract_facts
+from irqverify.feasibility import _PIECE, dump_facts, extract_facts
 from irqverify.ir import Program
 
 from cfg_reference import AccessInfo, access_info
@@ -122,11 +127,29 @@ def reference_dump_facts(fb: ReferenceFactBase) -> list[str]:
     return sorted(lines)
 
 
-def both_dumps(program: Program) -> tuple[list[str], list[str]]:
+RELATIONS = ("CoveredLoad", "Dom", "InterceptedStore", "Load", "MustNotReadFrom",
+             "NoPreempt", "PostDom", "Pri", "Store")
+
+
+def written_pieces(program: Program) -> tuple[list[str], dict[str, int]]:
+    """The strings `dump_facts` passes to `write`, and the counts it returns."""
     cfgs, infos = build_all(program)
     facts = extract_facts(program, cfgs, infos)
+    pieces: list[str] = []
+    counts = dump_facts(facts, must_not_read_from(facts), pieces.append)
+    return pieces, counts
+
+
+def streamed_dump(program: Program) -> tuple[str, dict[str, int]]:
+    """The dump's text as `dump_facts` writes it, and the counts it returns."""
+    pieces, counts = written_pieces(program)
+    return "".join(pieces), counts
+
+
+def both_dumps(program: Program) -> tuple[list[str], list[str]]:
+    cfgs, _ = build_all(program)
     old_infos = [access_info(g, program) for g in cfgs]
-    return (dump_facts(facts, must_not_read_from(facts)),
+    return (streamed_dump(program)[0].splitlines(),
             reference_dump_facts(reference_extract_facts(program, cfgs, old_infos)))
 
 
@@ -171,3 +194,54 @@ def test_dump_matches_reference_when_names_do_not_sort_by_index(pri_a, pri_a1):
     assert ("NoPreempt(a1:0, a:10)" in new) == (pri_a >= pri_a1)
     assert ("NoPreempt(a:10, a1:0)" in new) == (pri_a1 >= pri_a)
     assert new == old
+
+
+def test_dump_matches_reference_on_one_handler():
+    program = parse_program("global x = 0; handler h priority 0 { x = 1; local t = x; x = t + 1; }")
+    text, counts = streamed_dump(program)
+    assert counts["NoPreempt"] == 0 and "NoPreempt(" not in text
+    new, old = both_dumps(program)
+    assert new == old
+
+
+def test_dump_matches_reference_on_eight_equal_priorities():
+    rng = random.Random(88)
+    for i in range(5):
+        program = random_program(rng, handler_count=8)
+        program = replace(program, handlers=tuple(replace(h, priority=1) for h in program.handlers))
+        sizes = [len(g.nodes) for g in build_all(program)[0]]
+        _, counts = streamed_dump(program)
+        # every ordered pair of distinct handlers shields
+        assert counts["NoPreempt"] == sum(sizes) ** 2 - sum(n * n for n in sizes)
+        new, old = both_dumps(program)
+        assert new == old, f"program {i}"
+
+
+def dump_programs() -> list[tuple[str, Program]]:
+    programs = [(name, load_corpus(name)) for name in CORPUS_NAMES]
+    programs += [(f"seed {seed}", random_program(random.Random(seed))) for seed in range(100)]
+    programs += [(f"prefix {pa} {pa1}", prefix_handlers(pa, pa1)) for pa, pa1 in [(0, 1), (1, 0)]]
+    return programs
+
+
+def test_dump_counts_are_the_line_counts_of_its_text():
+    for name, program in dump_programs():
+        text, counts = streamed_dump(program)
+        # every relation, in the order its block is written
+        assert tuple(counts) == RELATIONS, name
+        in_text = Counter(line[:line.index("(")] for line in text.splitlines())
+        assert counts == {rel: in_text[rel] for rel in RELATIONS}, name
+
+
+def test_dump_text_ends_in_one_newline_without_blank_lines():
+    for name, program in dump_programs():
+        text, _ = streamed_dump(program)
+        assert text.endswith(")\n") and "\n\n" not in text and not text.startswith("\n"), name
+
+
+def test_dump_is_written_in_small_pieces():
+    """No write holds more than `_PIECE` lines, so the dump never builds a
+    block or a handler's lines as one large string."""
+    for name, program in dump_programs():
+        pieces, _ = written_pieces(program)
+        assert all(0 < piece.count("\n") <= _PIECE and piece.endswith("\n") for piece in pieces), name
