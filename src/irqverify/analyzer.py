@@ -15,14 +15,14 @@ outer loop always terminates.
 `prepare` lowers each handler to its index-based graph, extracts one
 `feasibility.HandlerFacts` record per handler and builds the class table from
 them. The table groups its classes by handler and names sites by node index,
-so once per `analyze` call each handler's `HandlerPlan` reads only that
-handler's part of it: per node its load classes, its store sites with their
-classes, and per load class the store classes it admits. The fixpoint walks
-the graph directly. Node states live in per-handler lists indexed like the
-graph, and the `node_states` map is built once at the end. A handler's local
-fixpoint is a function of its entry state and admitted hulls, so `analyze`
-looks each one up in a memo first, which `compare` shares between its pruned
-and unpruned analyses.
+so the fixpoint reads each handler's part of it as it is: `analyze_local`
+joins at the sites of each load class, `collect_interferences` reads the
+sites of each store class, and `admitted_hulls` reads per load class the store
+classes it admits. Node states live in per-handler lists indexed like the
+graph; the `node_states` map is built from them only when it is first read. A
+handler's local fixpoint is a function of its entry state and admitted hulls,
+so `analyze` looks each one up in a memo first, which `compare` shares between
+its pruned and unpruned analyses.
 
 Handler entry states start from the declared global initializers joined with
 every handler's exit state from the previous round (projected onto the
@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .cfg import Cfg, NodeId, build_all
 from .domain import AbstractState, Interval, check_assert, join, transfer, widen
@@ -113,60 +114,29 @@ class AnalysisResult:
     """Report plus the internals tests and the CLI drill into."""
 
     report: AnalysisReport
-    node_states: NodeStates
     facts: list[HandlerFacts]
     feasibility: FeasibilityResult
-    cfgs: list[Cfg] = field(default_factory=list)
+    states: list[list[AbstractState]]  # per handler, the state after each node, by node index
+
+    @cached_property
+    def node_states(self) -> NodeStates:
+        """Every node's state, in handler and then node order."""
+        return {n: state for f, post in zip(self.facts, self.states)
+                for n, state in zip(f.graph.nodes, post)}
 
 
-@dataclass(frozen=True)
-class HandlerPlan:
-    """One handler's graph with what the class table says of its nodes.
-
-    Built once per `analyze` call and indexed like the graph: node i is
-    `graph.nodes[i]`, the entry is node 0 and the exit the last node. A read
-    is kept as its load class and a store as its store class, because the
-    rejection rules see nothing else of either. Class keys are the objects of
-    the feasibility class table.
-    """
-
-    graph: Cfg
-    reads: tuple[tuple[LoadClass, ...], ...]  # per node, its load classes
-    stores: tuple[tuple[int, StoreClass], ...]  # (store node, its store class), by node index
-    sources: dict[LoadClass, tuple[StoreClass, ...]]  # load class -> the store classes it admits
-
-
-def plan_handler(g: Cfg, feasibility: FeasibilityResult, pruning: bool) -> HandlerPlan:
-    """Read g's load classes, store sites and admitted sources off g's part of the class table.
-
-    A load class admits every other handler's store class of its variable
-    except, with `pruning`, the ones it must not read from.
-    """
-    reads: list[list[LoadClass]] = [[] for _ in g.nodes]
-    sources: dict[LoadClass, tuple[StoreClass, ...]] = {}
-    for load_class, sites in feasibility.load_classes[g.handler].items():
-        for i in sites:
-            reads[i].append(load_class)
-        admitted = feasibility.admitted[load_class]
-        sources[load_class] = tuple(admitted if pruning else admitted + feasibility.rejected[load_class])
-    stores = sorted((i, store_class) for store_class, sites in feasibility.store_classes[g.handler].items()
-                    for i in sites)
-    return HandlerPlan(graph=g, reads=tuple(map(tuple, reads)), stores=tuple(stores),
-                       sources=sources)
-
-
-def admitted_hulls(plan: HandlerPlan, interference: dict[StoreClass, Interval]
-                   ) -> dict[LoadClass, Interval]:
-    """The hull of the `interference` entries each load class of `plan` admits.
+def admitted_hulls(load_classes: dict[LoadClass, list[int]], sources: dict[LoadClass, list[StoreClass]],
+                   interference: dict[StoreClass, Interval]) -> dict[LoadClass, Interval]:
+    """The hull of the `interference` entries each of `load_classes` reads from `sources`.
 
     Interval join is an exact, commutative hull, so joining this hull at a
     read equals joining the admitted stores one by one. A load class that
     admits no present store class is absent.
     """
     admitted: dict[LoadClass, Interval] = {}
-    for load_class, sources in plan.sources.items():
+    for load_class in load_classes:
         hull = None
-        for store_class in sources:
+        for store_class in sources[load_class]:
             iv = interference.get(store_class)
             if iv is not None:
                 hull = iv if hull is None else hull.join(iv)
@@ -175,21 +145,25 @@ def admitted_hulls(plan: HandlerPlan, interference: dict[StoreClass, Interval]
     return admitted
 
 
-def analyze_local(plan: HandlerPlan, admitted: dict[LoadClass, Interval],
-                  config: AnalysisConfig,
+def analyze_local(g: Cfg, load_classes: dict[LoadClass, list[int]],
+                  admitted: dict[LoadClass, Interval], config: AnalysisConfig,
                   entry_state: AbstractState | None = None) -> list[AbstractState]:
     """Worklist fixpoint over one handler with a fixed interference environment.
 
-    Every read joins into the incoming state the `admitted` hull of its load
-    class (see `admitted_hulls`). Widening engages at loop heads after
+    `load_classes` is g's part of the class table. Every site of a load class
+    joins into the incoming state the class's `admitted` hull (see
+    `admitted_hulls`). Widening engages at loop heads after
     `config.widen_delay` growths, and one descending pass afterwards recovers
     bounds the widening overshot. Deterministic: FIFO worklist seeded with
     the entry, node 0, and successors in node order. Returns the state after
     each node, by node index.
     """
-    joins = [tuple((cls[0], admitted[cls]) for cls in node_reads if cls in admitted)
-             for node_reads in plan.reads]
-    g = plan.graph
+    joins: list[list[tuple[str, Interval]]] = [[] for _ in g.nodes]
+    for cls, sites in load_classes.items():
+        hull = admitted.get(cls)
+        if hull is not None:
+            for i in sites:
+                joins[i].append((cls[0], hull))
     instr, preds, succs, loop_heads = g.instr, g.preds, g.succs, g.loop_heads
     entry = entry_state if entry_state is not None else AbstractState.top()
     bottom = AbstractState.bottom()
@@ -240,32 +214,39 @@ def analyze_local(plan: HandlerPlan, admitted: dict[LoadClass, Interval],
     return post
 
 
-def collect_interferences(plan: HandlerPlan, states: list[AbstractState]) -> dict[StoreClass, Interval]:
-    """One interval hull per store class of this handler.
+def collect_interferences(store_classes: dict[StoreClass, list[int]],
+                          states: list[AbstractState]) -> dict[StoreClass, Interval]:
+    """One interval hull per store class of one handler, from its part of the class table.
 
     A store contributes the written variable's interval in the state after
     it. Stores whose state is bottom are unreachable and contribute nothing;
     a class with no reachable store is absent.
     """
     out: dict[StoreClass, Interval] = {}
-    for i, cls in plan.stores:
-        state = states[i]
-        if state.is_bottom:
-            continue
-        value = state.get(cls[0])
-        out[cls] = value if cls not in out else out[cls].join(value)
+    for cls, sites in store_classes.items():
+        hull = None
+        for i in sites:
+            state = states[i]
+            if not state.is_bottom:
+                value = state.get(cls[0])
+                hull = value if hull is None else hull.join(value)
+        if hull is not None:
+            out[cls] = hull
     return out
 
 
-def prepare(program: Program) -> tuple[list[Cfg], list[HandlerFacts], FeasibilityResult]:
-    """Graphs, facts and feasibility classes: everything before the fixpoint."""
+def prepare(program: Program) -> tuple[list[HandlerFacts], FeasibilityResult]:
+    """Facts and feasibility classes: everything before the fixpoint.
+
+    Each `HandlerFacts` record holds its handler's graph.
+    """
     cfgs, infos = build_all(program)
     facts = extract_facts(program, cfgs, infos)
-    return cfgs, facts, must_not_read_from(facts)
+    return facts, must_not_read_from(facts)
 
 
 def analyze(program: Program, config: AnalysisConfig | None = None,
-            prepared: tuple[list[Cfg], list[HandlerFacts], FeasibilityResult] | None = None,
+            prepared: tuple[list[HandlerFacts], FeasibilityResult] | None = None,
             memo: LocalMemo | None = None) -> AnalysisResult:
     """Run the full modular analysis and keep the internals around.
 
@@ -274,25 +255,27 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
 
     Every `analyze_local` call is looked up first in `memo`, keyed by handler,
     widening delay, entry state and admitted hulls. Those are all the call
-    reads: the plan's graph and per-node load classes depend only on the
-    handler and `prepared`, not on `config.pruning`, which enters only through
-    which hulls are admitted. The fixpoint is a deterministic function of
-    values, so a hit returns states equal to the ones a new call would
-    compute. A memo therefore serves every analysis of one program and its
-    `prepared`, with or without pruning, and no other program; a fresh one is
-    made when omitted.
+    reads: the handler's graph and load classes depend only on the handler and
+    `prepared`, not on `config.pruning`, which enters only through which hulls
+    are admitted. The fixpoint is a deterministic function of values, so a hit
+    returns states equal to the ones a new call would compute. A memo
+    therefore serves every analysis of one program and its `prepared`, with or
+    without pruning, and no other program; a fresh one is made when omitted.
     """
     config = config or AnalysisConfig()
     if memo is None:
         memo = {}
-    cfgs, facts, feas = prepared if prepared is not None else prepare(program)
+    facts, feas = prepared if prepared is not None else prepare(program)
 
     global_names = program.global_names()
     init_state = AbstractState({name: Interval.const(value) for name, value in program.globals})
 
-    plans = [plan_handler(g, feas, config.pruning) for g in cfgs]
+    # A load class admits every other handler's store class of its variable
+    # except, with pruning, the ones it must not read from.
+    sources = feas.admitted if config.pruning else {
+        cls: ok + feas.rejected[cls] for cls, ok in feas.admitted.items()}
     bottom = AbstractState.bottom()
-    states = [[bottom] * len(g.nodes) for g in cfgs]
+    states = [[bottom] * len(f.graph.nodes) for f in facts]
     iterations = 0
     changed = True
     while changed:
@@ -305,14 +288,15 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
             exit_join = join(exit_join, post[-1].restrict(global_names))
         entry_state = join(init_state, exit_join)
 
-        interference = {cls: hull for plan, post in zip(plans, states)
-                        for cls, hull in collect_interferences(plan, post).items()}
-        for plan, post in zip(plans, states):
-            admitted = admitted_hulls(plan, interference)
-            key = (plan.graph.handler, config.widen_delay, entry_state, tuple(admitted.items()))
+        interference = {cls: hull for f, post in zip(facts, states)
+                        for cls, hull in collect_interferences(feas.store_classes[f.handler], post).items()}
+        for f, post in zip(facts, states):
+            load_classes = feas.load_classes[f.handler]
+            admitted = admitted_hulls(load_classes, sources, interference)
+            key = (f.handler, config.widen_delay, entry_state, tuple(admitted.items()))
             local = memo.get(key)
             if local is None:
-                local = memo[key] = analyze_local(plan, admitted, config, entry_state)
+                local = memo[key] = analyze_local(f.graph, load_classes, admitted, config, entry_state)
             for i, state in enumerate(local):
                 old = post[i]
                 new = join(old, state)
@@ -322,12 +306,12 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
                 changed = True
 
     verdicts: list[VerdictEntry] = []
-    for g, post in zip(cfgs, states):
-        for ins, state in zip(g.instr, post):
+    for f, post in zip(facts, states):
+        for ins, state in zip(f.graph.instr, post):
             if isinstance(ins, Assert):
                 verdicts.append(VerdictEntry(
                     assertion_id=ins.uid,
-                    handler=g.handler,
+                    handler=f.handler,
                     verdict="Proved" if check_assert(ins.cond, state) else "Warning",
                 ))
 
@@ -338,7 +322,4 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
         pairs_pruned=feas.pairs_pruned,
         pruning_enabled=config.pruning,
     )
-    node_states: NodeStates = {n: state for g, post in zip(cfgs, states)
-                               for n, state in zip(g.nodes, post)}
-    return AnalysisResult(report=report, node_states=node_states, facts=facts,
-                          feasibility=feas, cfgs=cfgs)
+    return AnalysisResult(report=report, facts=facts, feasibility=feas, states=states)

@@ -78,8 +78,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                             max_outer=args.max_iters)
     result = analyze(program, config)
     if args.dump_cfg:
-        for g in result.cfgs:
-            print("\n".join(dump_cfg(g)))
+        for f in result.facts:
+            print("\n".join(dump_cfg(f.graph)))
     if args.dump_facts:
         dump_facts(result.facts, result.feasibility, sys.stdout.write)
     print(_render_report(result.report, args.json))
@@ -97,7 +97,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_facts(args: argparse.Namespace) -> int:
-    _, facts, feasibility = prepare(_load(args.path))
+    facts, feasibility = prepare(_load(args.path))
     dump_facts(facts, feasibility, sys.stdout.write)
     return 0
 
@@ -112,7 +112,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pruned = analyze(program, config, prepared, memo)
     plain = analyze(program, replace(config, pruning=False), prepared, memo)
     try:
-        oracle_result = enumerate_executions(program, oracle_config, prepared[0])
+        oracle_result = enumerate_executions(program, oracle_config, [f.graph for f in prepared[0]])
         violated = oracle_result.violated
         oracle_skipped = False
     except OracleLimitError:

@@ -383,7 +383,8 @@ def enumerate_executions(program: Program, config: OracleConfig,
     budgeted handler may start, or the execution may end. Nondeterministic
     conditions explore both branches; loops beyond the unroll bound truncate
     their path and set the `truncated` flag. `cfgs` are the program's graphs
-    in handler order (`prepare(program)[0]`); they are built here when omitted.
+    in handler order (the `graph` of each record of `prepare(program)[0]`);
+    they are built here when omitted.
     """
     return _Enumerator(program, config, interrupt=True, cfgs=cfgs).run()
 

@@ -13,12 +13,13 @@ from irqverify import (
     leq,
     parse_program,
 )
-from irqverify.analyzer import admitted_hulls, plan_handler, prepare
+from irqverify.analyzer import AnalysisResult, admitted_hulls, prepare
 from irqverify.cfg import NodeId
+from irqverify.cli import main
 from irqverify.domain import AbstractState, Interval
 from irqverify.ir import Assert
 
-from conftest import CORPUS_NAMES, load_corpus, load_expected
+from conftest import CORPUS_NAMES, corpus_path, load_corpus, load_expected
 from progen import random_program
 
 
@@ -56,21 +57,28 @@ def test_pair_statistics_detail():
 # ---------------------------------------------------------------------------
 
 
-def handler_plan(program, handler, pruning=True):
-    """The plan `analyze` builds for one handler of program."""
-    cfgs, _, feasibility = prepare(program)
-    return plan_handler(next(g for g in cfgs if g.handler == handler), feasibility, pruning)
+def handler_table(program, handler):
+    """One handler's graph and the class table `analyze` reads it with."""
+    facts, feasibility = prepare(program)
+    return next(f.graph for f in facts if f.handler == handler), feasibility
 
 
-def local_states(plan, interference, entry):
-    """analyze_local on a plan and the hulls it admits of `interference`, as a node -> state map."""
-    admitted = admitted_hulls(plan, interference)
-    return dict(zip(plan.graph.nodes, analyze_local(plan, admitted, AnalysisConfig(), entry)))
+def unpruned_sources(feasibility):
+    """Every load class's store classes, admitted or rejected: what it reads without pruning."""
+    return {cls: ok + feasibility.rejected[cls] for cls, ok in feasibility.admitted.items()}
 
 
-def assert_node(plan):
-    """The one assertion node of a plan's graph."""
-    (check,) = (n for n, ins in zip(plan.graph.nodes, plan.graph.instr) if isinstance(ins, Assert))
+def local_states(g, feasibility, interference, entry, sources=None):
+    """analyze_local on g and the hulls its load classes read of `interference`
+    (from `sources`, the admitted store classes by default), as a node -> state map."""
+    load_classes = feasibility.load_classes[g.handler]
+    admitted = admitted_hulls(load_classes, sources or feasibility.admitted, interference)
+    return dict(zip(g.nodes, analyze_local(g, load_classes, admitted, AnalysisConfig(), entry)))
+
+
+def assert_node(g):
+    """The one assertion node of a graph."""
+    (check,) = (n for n, ins in zip(g.nodes, g.instr) if isinstance(ins, Assert))
     return check
 
 
@@ -79,10 +87,10 @@ def test_local_analysis_without_interference_is_sequential():
         "global x = 0; global y = 0;"
         "handler h priority 0 { x = 1; y = x + 2; if (*) { y = 0; } assert(y <= 3); }"
     )
-    plan = handler_plan(p, "h")
+    g, feasibility = handler_table(p, "h")
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
-    states = local_states(plan, {}, entry)
-    check = assert_node(plan)
+    states = local_states(g, feasibility, {}, entry)
+    check = assert_node(g)
     assert states[check].get("y") == Interval(0, 3)
     assert states[check].get("x") == Interval.const(1)
 
@@ -100,16 +108,17 @@ def test_local_analysis_joins_interference_at_loads():
 
     # irq0:1 is uncovered; rule 3 rejects the intercepted store_one because
     # the lower-priority irq0 cannot preempt irq1 between its two stores
-    pruned_plan = handler_plan(p, "irq0")
+    g, feasibility = handler_table(p, "irq0")
     load_class = ("x", "irq0", False)
-    assert pruned_plan.reads[load_node.index] == (load_class,)
-    assert pruned_plan.sources[load_class] == (store_zero,)
-    pruned = local_states(pruned_plan, interference, entry)
+    assert [cls for cls, sites in feasibility.load_classes["irq0"].items()
+            if load_node.index in sites] == [load_class]
+    assert feasibility.admitted[load_class] == [store_zero]
+    pruned = local_states(g, feasibility, interference, entry)
     assert pruned[check].get("b") == Interval.const(0)
 
-    plain_plan = handler_plan(p, "irq0", pruning=False)
-    assert set(plain_plan.sources[load_class]) == {store_one, store_zero}
-    plain = local_states(plain_plan, interference, entry)
+    sources = unpruned_sources(feasibility)
+    assert set(sources[load_class]) == {store_one, store_zero}
+    plain = local_states(g, feasibility, interference, entry, sources)
     assert plain[check].get("b") == Interval(0, 1)
 
 
@@ -118,20 +127,21 @@ def test_loop_widening_and_narrowing_terminate_with_bounds():
         "global x = 0;"
         "handler h priority 0 { while (x < 10) { x = x + 1; } assert(x >= 10); }"
     )
-    plan = handler_plan(p, "h")
+    g, feasibility = handler_table(p, "h")
     entry = AbstractState({"x": Interval.const(0)})
-    states = local_states(plan, {}, entry)
-    check = assert_node(plan)
+    states = local_states(g, feasibility, {}, entry)
+    check = assert_node(g)
     # narrowing recovers the exact exit value after widening to +inf
     assert states[check].get("x") == Interval.const(10)
 
 
 def test_collect_interferences_values_and_unreachable_stores():
-    plan = handler_plan(load_corpus("three_priorities"), "irq_M")
+    g, feasibility = handler_table(load_corpus("three_priorities"), "irq_M")
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})
-    states = analyze_local(plan, {}, AnalysisConfig(), entry)
-    assert plan.stores == ((1, ("y", "irq_M", False)), (2, ("x", "irq_M", False)))
-    assert collect_interferences(plan, states) == {
+    states = analyze_local(g, feasibility.load_classes["irq_M"], {}, AnalysisConfig(), entry)
+    store_classes = feasibility.store_classes["irq_M"]
+    assert store_classes == {("y", "irq_M", False): [1], ("x", "irq_M", False): [2]}
+    assert collect_interferences(store_classes, states) == {
         ("x", "irq_M", False): Interval.const(1),
         ("y", "irq_M", False): Interval.const(1),
     }
@@ -140,11 +150,13 @@ def test_collect_interferences_values_and_unreachable_stores():
         "global x = 0;"
         "handler h priority 0 { if (0 == 1) { x = 5; } if (*) { x = 2; } }"
     )
-    plan_q = handler_plan(q, "h")
-    sq = analyze_local(plan_q, {}, AnalysisConfig(), AbstractState({"x": Interval.const(0)}))
-    assert len(plan_q.stores) == 2
+    gq, feasibility_q = handler_table(q, "h")
+    sq = analyze_local(gq, feasibility_q.load_classes["h"], {}, AnalysisConfig(),
+                       AbstractState({"x": Interval.const(0)}))
+    store_classes_q = feasibility_q.store_classes["h"]
+    assert [len(sites) for sites in store_classes_q.values()] == [2]
     # the reachable branch store is the whole hull: the dead x = 5 adds nothing
-    assert collect_interferences(plan_q, sq) == {("x", "h", False): Interval.const(2)}
+    assert collect_interferences(store_classes_q, sq) == {("x", "h", False): Interval.const(2)}
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +207,7 @@ def test_higher_priority_warning_survives_pruning():
     p = load_corpus("branch_overwrites")
     result = analyze(p)
     states = result.node_states
-    nodes = {ins.uid: n for g in result.cfgs for n, ins in zip(g.nodes, g.instr)
+    nodes = {ins.uid: n for f in result.facts for n, ins in zip(f.graph.nodes, f.graph.instr)
              if isinstance(ins, Assert)}
     # the high handler reads y while the medium one may have left y = 0
     assert states[nodes["irq_H#0"]].get("y") == Interval(0, 1)
@@ -214,6 +226,35 @@ def test_pruning_refines_on_corpus_and_random_programs():
         proved_without = {v.assertion_id for v in without.report.verdicts if v.verdict == "Proved"}
         proved_with = {v.assertion_id for v in with_pruning.report.verdicts if v.verdict == "Proved"}
         assert proved_without <= proved_with
+
+
+def test_node_states_are_built_on_first_read():
+    programs = [load_corpus(name) for name in CORPUS_NAMES]
+    programs += [random_program(random.Random(seed)) for seed in range(20)]
+    for p in programs:
+        result = analyze(p)
+        assert "node_states" not in result.__dict__
+        want = [(n, state) for f, post in zip(result.facts, result.states)
+                for n, state in zip(f.graph.nodes, post)]
+        assert list(result.node_states.items()) == want
+        assert "node_states" in result.__dict__
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["analyze", "--dump-cfg", "--dump-facts"]],
+                         ids=" ".join)
+def test_cli_never_builds_node_states(argv, monkeypatch, capsys):
+    reads = []
+    real = AnalysisResult.__dict__["node_states"]
+
+    def counted(self):
+        reads.append(self)
+        return real.__get__(self, AnalysisResult)
+
+    monkeypatch.setattr(AnalysisResult, "node_states", property(counted))
+    for name in CORPUS_NAMES:
+        assert main([*argv, str(corpus_path(name))]) in (0, 1)
+    assert capsys.readouterr().out
+    assert reads == []
 
 
 class _NoMemo(dict):
@@ -247,7 +288,7 @@ def test_shared_memo_skips_the_plain_fixpoint_when_nothing_is_pruned(name, monke
     real = analyzer_mod.analyze_local
 
     def counted(*args):
-        calls.append(args[0].graph.handler)
+        calls.append(args[0].handler)
         return real(*args)
 
     monkeypatch.setattr(analyzer_mod, "analyze_local", counted)

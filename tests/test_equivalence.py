@@ -6,6 +6,12 @@ subcommand run on the 8 corpus programs and on the progen programs of seeds
 lazy, the `--dump-cfg --dump-facts` one before dominance became per-node
 bitmasks, and the text `compare` one before its `pairs:` line was shared with
 `analyze`; a refactor of the analysis must leave all of them unchanged.
+
+CLI output shows verdicts, not node states, so `STATES_PINNED` pins what
+`analyze` computes: the sha256 over the report and every node's state, on the
+corpus, progen seeds 0-499 and the perfbench seed-0 batches, under three
+configurations. It was recorded before the fixpoint read the class table
+directly.
 """
 
 import contextlib
@@ -15,11 +21,14 @@ import random
 
 import pytest
 
+from irqverify.analyzer import AnalysisConfig, analyze
 from irqverify.cli import main
 from irqverify.ir import format_program
+from irqverify.parser import parse_program
 
-from conftest import CORPUS_NAMES, corpus_path
+from conftest import CORPUS_NAMES, corpus_path, load_corpus
 from progen import random_program
+from test_parser_reference import _perfbench_seed0_texts
 
 PINNED = {
     ("facts",):
@@ -61,3 +70,20 @@ def command_digest(argv: tuple[str, ...], tmp_dir) -> str:
 @pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
 def test_cli_output_matches_pinned_digest(argv, tmp_path):
     assert command_digest(argv, tmp_path) == PINNED[argv]
+
+
+STATES_PINNED = "f3dbedf80862b0d20bc2cfeae34e9b34cf3227a3f2d10beda37e84badaae8d2b"
+
+
+def test_node_states_match_pinned_digest():
+    programs = [load_corpus(name) for name in CORPUS_NAMES]
+    programs += [random_program(random.Random(seed)) for seed in range(500)]
+    programs += [parse_program(text) for text in _perfbench_seed0_texts()]
+    h = hashlib.sha256()
+    for config in (AnalysisConfig(), AnalysisConfig(pruning=False), AnalysisConfig(widen_delay=1)):
+        for program in programs:
+            result = analyze(program, config)
+            h.update(f"{result.report!r}\0".encode())
+            for node, state in result.node_states.items():
+                h.update(f"{node!r}\0{state!r}\0".encode())
+    assert h.hexdigest() == STATES_PINNED

@@ -305,36 +305,34 @@ def test_dump_facts_is_sorted_and_complete():
     assert any(line.startswith("Pri(") for line in lines)
 
 
-# A program's class table and plans, printed in order, one line each.
+# A program's class table, printed in the order the fixpoint reads it, one line each.
 CLASS_TABLE_SCRIPT = """
 import random
-from irqverify.analyzer import plan_handler, prepare
+from irqverify.analyzer import prepare
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
 
 programs = [load_corpus(name) for name in CORPUS_NAMES]
 programs += [random_program(random.Random(seed)) for seed in range(20)]
 for program in programs:
-    cfgs, _, feas = prepare(program)
+    _, feas = prepare(program)
     print(repr(feas.load_classes))
+    print(repr(feas.store_classes))
+    print(repr(feas.admitted))
     print(repr(feas.rejected))
-    for g in cfgs:
-        for pruning in (True, False):
-            plan = plan_handler(g, feas, pruning)
-            print(repr((plan.reads, plan.sources, plan.stores)))
 """
 
 
 def test_class_table_does_not_depend_on_the_hash_seed():
-    """`prepare` and the plans are a function of the program: the class table
-    and every plan come out in the same order whatever the string hashes."""
+    """`prepare` is a function of the program: every part of the class table
+    comes out in the same order whatever the string hashes."""
     path = os.pathsep.join([str(pathlib.Path(irqverify.__file__).parent.parent),
                             str(pathlib.Path(__file__).parent)])
     outputs = [subprocess.run([sys.executable, "-c", CLASS_TABLE_SCRIPT], check=True, timeout=120,
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)).stdout
                for seed in ("0", "1")]
-    assert outputs[0].count("\n") > 28
+    assert outputs[0].count("\n") == 4 * 28  # four lines for each of 28 programs
     assert outputs[0] == outputs[1]
 
 
