@@ -22,7 +22,10 @@ classes it admits. Node states live in per-handler lists indexed like the
 graph; the `node_states` map is built from them only when it is first read. A
 handler's local fixpoint is a function of its entry state and admitted hulls,
 so `analyze` looks each one up in a memo first, which `compare` shares between
-its pruned and unpruned analyses.
+its pruned and unpruned analyses. Within a local fixpoint, widening at loop
+heads is followed by one descending pass that recomputes only the nodes
+where widening overshot the join and the forward successors of nodes it
+changes.
 
 Handler entry states start from the declared global initializers joined with
 every handler's exit state from the previous round (projected onto the
@@ -154,9 +157,12 @@ def analyze_local(g: Cfg, load_classes: dict[LoadClass, list[int]],
     joins into the incoming state the class's `admitted` hull (see
     `admitted_hulls`). Widening engages at loop heads after
     `config.widen_delay` growths, and one descending pass afterwards recovers
-    bounds the widening overshot. Deterministic: FIFO worklist seeded with
-    the entry, node 0, and successors in node order. Returns the state after
-    each node, by node index.
+    bounds the widening overshot. That pass equals recomputing every node in
+    index order, but it transfers only the nodes where widening returned more
+    than the join, and the forward successors of nodes it changed; on a
+    handler without loops it transfers nothing. Deterministic: FIFO worklist
+    seeded with the entry, node 0, and successors in node order. Returns the
+    state after each node, by node index.
     """
     joins: list[list[tuple[str, Interval]]] = [[] for _ in g.nodes]
     for cls, sites in load_classes.items():
@@ -186,6 +192,7 @@ def analyze_local(g: Cfg, load_classes: dict[LoadClass, list[int]],
     post = [bottom] * len(instr)
     growths = [0] * len(instr)
     queued = [False] * len(instr)
+    stale = [False] * len(instr)  # widening overshot here: post[i] may exceed output(i)
     pending = deque([0])
     queued[0] = True
     while pending:
@@ -200,17 +207,30 @@ def analyze_local(g: Cfg, load_classes: dict[LoadClass, list[int]],
         if i in loop_heads:
             growths[i] += 1
             if growths[i] > config.widen_delay:
-                out = widen(old, out)
+                widened = widen(old, out)
+                if widened != out:
+                    stale[i] = True
+                out = widened
         post[i] = out
         for s in succs[i]:
             if not queued[s]:
                 pending.append(s)
                 queued[s] = True
 
-    # One descending pass: recompute every node from its predecessors without
-    # widening. Starting from a post-fixpoint this only tightens bounds.
+    # One descending pass in index order: every node takes output(i) from its
+    # predecessors without widening, which from a post-fixpoint only tightens
+    # bounds. States only grew above, and transfer and the joins are
+    # monotone, so a node where widening never overshot already holds
+    # output(i) from its final predecessors. Only a stale node, or a forward
+    # successor of a node this pass changed, can differ; the rest are skipped.
     for i in range(len(post)):
-        post[i] = output(i)
+        if stale[i]:
+            new = output(i)
+            if new != post[i]:
+                post[i] = new
+                for t in succs[i]:
+                    if t > i:
+                        stale[t] = True
     return post
 
 

@@ -20,9 +20,14 @@ Lexical rules: only space, tab, carriage return and newline separate tokens;
 letter (any Unicode letter) or `_` and goes on with letters, `_` and numeric
 characters; an integer is a run of decimal digits (any Unicode decimal digit,
 so `٣` reads as 3). Any other character, such as `²` outside an identifier, is
-an `unexpected character` error. The lexer is one compiled pattern with one
-group per class, and a token's kind is "ident", "int", "eof", or else the
-keyword or punctuation text itself.
+an `unexpected character` error.
+
+The lexer is one `findall` of one compiled pattern, which skips separators and
+captures each token's text; comments are captured as tokens too and then
+dropped. A token's kind is "ident", "int", "eof", or else the keyword or
+punctuation text itself. The parser walks token indices into the parallel
+kind and text lists. No position is kept: an error finds the line and column
+of its token by scanning the text again with the same pattern.
 
 Multiplication is restricted to a constant literal times an expression so
 every expression stays affine.
@@ -33,7 +38,7 @@ before any use on every path.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .ir import (
     Add,
@@ -58,16 +63,22 @@ from .ir import (
 )
 
 _KEYWORDS = {"global", "handler", "priority", "local", "assert", "if", "else", "while", "havoc", "skip"}
+_PUNCT = ("==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "(", ")", "{", "}", ";")
+#: A keyword or punctuation token's kind is its own text.
+_KINDS = {text: text for text in (*_KEYWORDS, *_PUNCT)}
 
-# One alternative per lexical class; `bad` catches any other single character.
+# Skip separators, then capture one token: a comment (dropped afterwards), an
+# integer, a word, punctuation, or any other single character, which is an
+# error. The last class excludes the separators, so trailing ones match
+# nothing.
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>//[^\n]*)
-    | (?P<newline>\n)
-    | (?P<int>\d+)
-    | (?P<word>\w+)
-    | (?P<punct>==|!=|<=|>=|[<>=+\-*(){};])
-    | (?P<bad>.)
+    [ \t\r\n]*
+    ( //[^\n]*
+    | \d+
+    | \w+
+    | ==|!=|<=|>=|[<>=+\-*(){};]
+    | [^ \t\r\n]
+    )
 """, re.VERBOSE)
 
 
@@ -81,44 +92,43 @@ class ParseError(Exception):
         self.col = col
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "int" | "eof", or the keyword or punctuation text itself
-    text: str
-    line: int
-    col: int
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of `text`'s tokens, ending with the "eof" token.
+
+    A kind is "ident", "int", "eof", or the keyword or punctuation text
+    itself. Positions are not kept; `_position` finds them for errors.
+    """
+    texts = _TOKEN_RE.findall(text)
+    if "//" in text:
+        texts = [t for t in texts if not t.startswith("//")]
+    get = _KINDS.get
+    kinds = [get(t) or ("int" if t[0].isdecimal() else
+                        "ident" if t[0].isalpha() or t[0] == "_" else "")
+             for t in texts]
+    if "" in kinds:
+        # any other character, or a word starting with a digit that is not
+        # decimal, such as '²' (`\w` matches it)
+        k = kinds.index("")
+        raise ParseError(f"unexpected character {texts[k][0]!r}", *_position(text, k))
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastgroup
-        if group == "ws" or group == "comment":
-            continue
-        if group == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        word = m.group()
-        col = m.start() - line_start + 1
-        if group == "word":
-            # `\w` also matches digits that are not decimal, such as '²'
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ParseError(f"unexpected character {word[0]!r}", line, col)
-            kind = word if word in _KEYWORDS else "ident"
-        elif group == "int":
-            kind = "int"
-        elif group == "punct":
-            kind = word
-        else:
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        tokens.append(_Token(kind, word, line, col))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token k of `text`; the last token (eof) sits at the end."""
+    starts = (m.start(1) for m in _TOKEN_RE.finditer(text) if not m.group(1).startswith("//"))
+    start = next(islice(starts, k, None), len(text))
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], globals_: dict[str, int]):
-        self.tokens = tokens
+    """Recursive descent over token indices into the parallel `kinds` and `texts`."""
+
+    def __init__(self, text: str, kinds: list[str], texts: list[str], globals_: dict[str, int]):
+        self.text = text
+        self.kinds = kinds
+        self.texts = texts
         self.pos = 0
         self.globals = globals_
         # Scope state for the handler currently being parsed.
@@ -128,27 +138,24 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def next(self) -> int:
+        k = self.pos
+        self.pos = k + 1
+        return k
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def fail(self, message: str, k: int | None = None) -> ParseError:
+        return ParseError(message, *_position(self.text, self.pos if k is None else k))
 
-    def fail(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise self.fail(f"expected {kind!r}, found {t.text!r}" if t.kind != "eof"
+    def expect(self, kind: str) -> int:
+        k = self.pos
+        if self.kinds[k] != kind:
+            raise self.fail(f"expected {kind!r}, found {self.texts[k]!r}" if self.kinds[k] != "eof"
                             else f"expected {kind!r}, found end of input")
-        return self.next()
+        self.pos = k + 1
+        return k
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.kinds[self.pos] == kind
 
     # -- program structure -------------------------------------------------
 
@@ -157,17 +164,18 @@ class _Parser:
         handler_names: set[str] = set()
         global_order: list[tuple[str, int]] = []
         seen_globals: set[str] = set()
-        while self.peek().kind != "eof":
+        texts = self.texts
+        while not self.at("eof"):
             if self.at("global"):
-                tok = self.next()
+                self.next()
                 name = self.expect("ident")
                 self.expect("=")
                 init = self.int_literal()
                 self.expect(";")
-                if name.text in seen_globals:
-                    raise self.fail(f"duplicate global '{name.text}'", name)
-                seen_globals.add(name.text)
-                global_order.append((name.text, init))
+                if texts[name] in seen_globals:
+                    raise self.fail(f"duplicate global '{texts[name]}'", name)
+                seen_globals.add(texts[name])
+                global_order.append((texts[name], init))
             elif self.at("handler"):
                 h = self.handler_decl()
                 if h.name in handler_names:
@@ -177,8 +185,7 @@ class _Parser:
             else:
                 raise self.fail("expected 'global' or 'handler' declaration")
         if not handlers:
-            last = self.tokens[-1]
-            raise ParseError("program declares no handlers", last.line, last.col)
+            raise self.fail("program declares no handlers")
         return Program(globals=tuple(global_order), handlers=tuple(handlers))
 
     def int_literal(self) -> int:
@@ -189,25 +196,25 @@ class _Parser:
         value = self.int_value(self.expect("int"))
         return -value if neg else value
 
-    def int_value(self, tok: _Token) -> int:
+    def int_value(self, k: int) -> int:
         try:
-            return int(tok.text)
+            return int(self.texts[k])
         except ValueError:  # beyond the interpreter's integer-string digit limit
-            raise self.fail(f"integer literal too long ({len(tok.text)} digits)", tok) from None
+            raise self.fail(f"integer literal too long ({len(self.texts[k])} digits)", k) from None
 
     def handler_decl(self) -> Handler:
         self.expect("handler")
-        name = self.expect("ident")
+        name = self.texts[self.expect("ident")]
         self.expect("priority")
-        pr_tok = self.peek()
+        pr_tok = self.pos
         priority = self.int_literal()
         if priority < 0:
             raise self.fail("priority must be non-negative", pr_tok)
         self.handler_locals = set()
         self.assert_count = 0
-        self.handler_name = name.text
+        self.handler_name = name
         body = self.block(declared=set())
-        return Handler(name=name.text, priority=priority, body=body)
+        return Handler(name=name, priority=priority, body=body)
 
     def block(self, declared: set[str]) -> tuple[Stmt, ...]:
         """Parse `{ stmt* }`; `declared` is the definitely-assigned local set."""
@@ -221,8 +228,7 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def statement(self, declared: set[str]) -> Stmt:
-        t = self.peek()
-        kind = t.kind
+        kind = self.kinds[self.pos]
         if kind == "ident":
             name = self.next()
             self.expect("=")
@@ -253,16 +259,17 @@ class _Parser:
         if kind == "local":
             self.next()
             name = self.expect("ident")
-            if name.text in self.globals:
-                raise self.fail(f"local '{name.text}' shadows a global", name)
-            if name.text in self.handler_locals:
-                raise self.fail(f"duplicate local '{name.text}'", name)
+            text = self.texts[name]
+            if text in self.globals:
+                raise self.fail(f"local '{text}' shadows a global", name)
+            if text in self.handler_locals:
+                raise self.fail(f"duplicate local '{text}'", name)
             self.expect("=")
             expr = self.expression(declared)
             self.expect(";")
-            self.handler_locals.add(name.text)
-            declared.add(name.text)
-            return Assign(VarRef(name.text, "local"), expr)
+            self.handler_locals.add(text)
+            declared.add(text)
+            return Assign(VarRef(text, "local"), expr)
         if kind == "if":
             self.next()
             self.expect("(")
@@ -281,18 +288,21 @@ class _Parser:
             self.expect(")")
             body = self.block(set(declared))
             return While(cond, body)
+        text = self.texts[self.pos]
         if kind in _KEYWORDS:
-            raise self.fail(f"unexpected keyword '{t.text}'")
-        raise self.fail(f"expected a statement, found {t.text!r}")
+            raise self.fail(f"unexpected keyword '{text}'")
+        raise self.fail(f"expected a statement, found {text!r}")
 
-    def var_ref(self, tok: _Token, declared: set[str], *, is_read: bool = True) -> VarRef:
-        if tok.text in self.globals:
-            return VarRef(tok.text, "global")
-        if tok.text in self.handler_locals:
-            if is_read and tok.text not in declared:
-                raise self.fail(f"local '{tok.text}' may be uninitialized here", tok)
-            return VarRef(tok.text, "local")
-        raise self.fail(f"undeclared variable '{tok.text}'", tok)
+    def var_ref(self, k: int, declared: set[str], *, is_read: bool = True) -> VarRef:
+        """The variable token k names."""
+        text = self.texts[k]
+        if text in self.globals:
+            return VarRef(text, "global")
+        if text in self.handler_locals:
+            if is_read and text not in declared:
+                raise self.fail(f"local '{text}' may be uninitialized here", k)
+            return VarRef(text, "local")
+        raise self.fail(f"undeclared variable '{text}'", k)
 
     # -- conditions and expressions -------------------------------------------
 
@@ -304,17 +314,18 @@ class _Parser:
 
     def comparison(self, declared: set[str]) -> Cmp:
         left = self.expression(declared)
-        t = self.peek()
-        if t.kind not in CMP_OPS:
+        op = self.kinds[self.pos]
+        if op not in CMP_OPS:
             raise self.fail("expected a comparison operator")
         self.next()
         right = self.expression(declared)
-        return Cmp(t.kind, left, right)  # type: ignore[arg-type]
+        return Cmp(op, left, right)  # type: ignore[arg-type]
 
     def expression(self, declared: set[str]) -> Expr:
         e = self.term(declared)
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        kinds = self.kinds
+        while kinds[self.pos] in ("+", "-"):
+            op = kinds[self.next()]
             rhs = self.term(declared)
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
         return e
@@ -333,12 +344,12 @@ class _Parser:
         return e
 
     def factor(self, declared: set[str]) -> Expr:
-        t = self.next()
-        kind = t.kind
+        k = self.next()
+        kind = self.kinds[k]
         if kind == "ident":
-            return self.var_ref(t, declared)
+            return self.var_ref(k, declared)
         if kind == "int":
-            return Const(self.int_value(t))
+            return Const(self.int_value(k))
         if kind == "-":
             inner = self.factor(declared)
             if isinstance(inner, Const):
@@ -348,27 +359,21 @@ class _Parser:
             e = self.expression(declared)
             self.expect(")")
             return e
-        raise self.fail(f"expected an expression, found {t.text!r}" if kind != "eof"
-                        else "expected an expression, found end of input", t)
+        raise self.fail(f"expected an expression, found {self.texts[k]!r}" if kind != "eof"
+                        else "expected an expression, found end of input", k)
 
 
-def _collect_globals(tokens: list[_Token]) -> dict[str, int]:
+def _collect_globals(kinds: list[str], texts: list[str]) -> dict[str, int]:
     """Pre-scan for top-level `global` declarations so handlers may precede them."""
     out: dict[str, int] = {}
     depth = 0
-    i = 0
-    while tokens[i].kind != "eof":
-        kind = tokens[i].kind
+    for i, kind in enumerate(kinds):
         if kind == "{":
             depth += 1
         elif kind == "}":
             depth = max(0, depth - 1)
-        elif depth == 0 and kind == "global":
-            if tokens[i + 1].kind == "ident":
-                name = tokens[i + 1].text
-                if name not in out:
-                    out[name] = 0  # real value filled in by the main pass
-        i += 1
+        elif depth == 0 and kind == "global" and kinds[i + 1] == "ident":
+            out.setdefault(texts[i + 1], 0)  # real value filled in by the main pass
     return out
 
 
@@ -379,9 +384,8 @@ def parse_program(text: str) -> Program:
     names, undeclared variables, or non-affine expressions. The result always
     passes `validate` with no diagnostics.
     """
-    tokens = _tokenize(text)
-    globals_ = _collect_globals(tokens)
-    return _Parser(tokens, globals_).program()
+    kinds, texts = _tokenize(text)
+    return _Parser(text, kinds, texts, _collect_globals(kinds, texts)).program()
 
 
 def parse_file(path: str) -> Program:

@@ -135,6 +135,64 @@ def test_loop_widening_and_narrowing_terminate_with_bounds():
     assert states[check].get("x") == Interval.const(10)
 
 
+def test_loop_free_handler_transfers_each_reachable_node_once(monkeypatch):
+    import irqverify.analyzer as analyzer_mod
+
+    calls = []
+    real = analyzer_mod.transfer
+
+    def counted(ins, state):
+        calls.append(ins)
+        return real(ins, state)
+
+    monkeypatch.setattr(analyzer_mod, "transfer", counted)
+    p = parse_program(
+        "global x = 0;"
+        "handler h priority 0 { x = 1; if (x == 2) { x = 3; } else { skip; }"
+        " if (*) { x = x + 1; } else { x = x - 1; } local t = x; assert(t <= 2); }"
+    )
+    g, feasibility = handler_table(p, "h")
+    assert not g.loop_heads
+    states = list(local_states(g, feasibility, {}, AbstractState({"x": Interval.const(0)})).values())
+    # a node is reachable when its incoming state is not bottom; `x = 3` is not
+    reachable = [i for i in range(len(g.nodes))
+                 if i == 0 or any(not states[p].is_bottom for p in g.preds[i])]
+    assert len(reachable) == len(g.nodes) - 1
+    # widening never ran, so the descending pass recomputes nothing
+    assert len(calls) == len(reachable)
+
+
+def test_widen_early_reference_programs_overshoot_and_do_not(monkeypatch):
+    """The reference comparison under `widen-early` reaches both branches of the
+    descending pass: local solves where widening overshot the join (stale
+    nodes are recomputed) and solves where it never did (every node is skipped)."""
+    import irqverify.analyzer as analyzer_mod
+    from test_feasibility_reference import _fixpoint_programs
+
+    solves = {"overshot": 0, "exact": 0}
+    overshot = []
+    real_local, real_widen = analyzer_mod.analyze_local, analyzer_mod.widen
+
+    def local(*args):
+        overshot.clear()
+        states = real_local(*args)
+        solves["overshot" if overshot else "exact"] += 1
+        return states
+
+    def widen(older, newer):
+        out = real_widen(older, newer)
+        if out != newer:
+            overshot.append(out)
+        return out
+
+    monkeypatch.setattr(analyzer_mod, "analyze_local", local)
+    monkeypatch.setattr(analyzer_mod, "widen", widen)
+    config = AnalysisConfig(widen_delay=1, max_outer=1)
+    for _, program in _fixpoint_programs():
+        analyze(program, config)
+    assert solves["overshot"] > 0 and solves["exact"] > 0, solves
+
+
 def test_collect_interferences_values_and_unreachable_stores():
     g, feasibility = handler_table(load_corpus("three_priorities"), "irq_M")
     entry = AbstractState({"x": Interval.const(0), "y": Interval.const(0)})

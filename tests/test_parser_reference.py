@@ -6,9 +6,11 @@ lexer became one compiled pattern: a loop over characters that scanned
 `_PUNCT` with `startswith` and gave tokens the kinds "punct" and "kw", and a
 parser that matched those kinds with `at_punct`, `at_kw` and a two-argument
 `expect`. Every input goes through both. Token lists compare as (kind, text,
-line, col), with an old "punct" or "kw" kind mapped to the token text; lexer
-errors compare by message, line and column; and `parse_program` compares by
-the `repr` of the program, or by the error raised.
+line, col), with an old "punct" or "kw" kind mapped to the token text. The new
+lexer keeps no positions, so the new side takes each token's start from one
+`finditer` pass over the lexer's own pattern, skipping comments as the lexer
+does. Lexer errors compare by message, line and column; and `parse_program`
+compares by the `repr` of the program, or by the error raised.
 
 The inputs are the corpus, `format_program` of progen seeds 0-499, the
 perfbench seed-0 batches, and seeded character-level mutants of the corpus and
@@ -57,7 +59,7 @@ from irqverify.ir import (
     VarRef,
     While,
 )
-from irqverify.parser import ParseError, _tokenize as new_tokenize
+from irqverify.parser import ParseError, _TOKEN_RE, _tokenize as new_tokenize
 
 from conftest import CORPUS_NAMES, corpus_path
 from progen import random_program
@@ -413,10 +415,15 @@ def _old_side(text: str):
 
 
 def _new_side(text: str):
+    """New (tokens, parse outcome); positions come from one pass over the lexer's pattern."""
     try:
-        listed = [tuple(t) for t in new_tokenize(text)]
+        kinds, texts = new_tokenize(text)
     except ParseError as exc:
-        listed = _error(exc)
+        return _error(exc), _parsed(lambda: parse_program(text))
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text) if not m.group(1).startswith("//")]
+    starts.append(len(text))
+    listed = [(kind, word, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
+              for kind, word, start in zip(kinds, texts, starts, strict=True)]
     return listed, _parsed(lambda: parse_program(text))
 
 
@@ -549,15 +556,36 @@ def test_mutants_differ_only_as_intended():
     ("global x = 0; handler h priority 0 { x = 1 // one", "b"),
     ("global x = 0;\x0bhandler h priority 0 { }", None),
     ("global x = 0;\xa0handler h priority 0 { }", None),
+    # lexer edges: trailing separators, comments with slashes, a lone slash
+    ("global x = 0; handler h priority 0 { x = 1; }\r", None),
+    ("global x = 0; handler h priority 0 { x = 1; }\t", None),
+    ("global x = 0; handler h priority 0 { x = 1; } // a/b", "b"),
+    ("global x = 0; handler h priority 0 { x = 1 // a/b", "b"),
+    ("/", None),
+    ("global x = 0; handler h priority 0 { x = 1 / 2; }", None),
+    ("// c\nglobal x = 0; handler h priority 0 { }", None),
+    ("global x = 0; // c\nhandler h priority 0 { x = 1; }", None),
 ])
 def test_examples(text, kind):
     assert difference(text) == kind
 
 
+#: Errors with their (message, line, column): non-decimal digits, a trailing
+#: comment, and the lexer's edges (trailing separators, slashes, comments).
+SAY_WHERE = [
+    ("global x = 0;\nhandler h priority 0 { x = ²; }", ("unexpected character '²'", 2, 28)),
+    ("global x = 0; handler h priority 0 { x = 1 // one", ("expected ';', found end of input", 1, 50)),
+    ("global x = 0; handler h priority 0 { x = 1\r", ("expected ';', found end of input", 1, 44)),
+    ("global x = 0; handler h priority 0 { x = 1\t", ("expected ';', found end of input", 1, 44)),
+    ("global x = 0;\nhandler h priority 0 { x = 1 // a/b", ("expected ';', found end of input", 2, 36)),
+    ("/", ("unexpected character '/'", 1, 1)),
+    ("global x = 0;\n  x / 2", ("unexpected character '/'", 2, 5)),
+    ("// c\nglobal x = 0; handler h priority 0 { y = 1; }", ("undeclared variable 'y'", 2, 38)),
+]
+
+
 def test_examples_say_where():
-    with pytest.raises(ParseError) as err:
-        parse_program("global x = 0;\nhandler h priority 0 { x = ²; }")
-    assert (err.value.message, err.value.line, err.value.col) == ("unexpected character '²'", 2, 28)
-    with pytest.raises(ParseError) as err:
-        parse_program("global x = 0; handler h priority 0 { x = 1 // one")
-    assert (err.value.message, err.value.line, err.value.col) == ("expected ';', found end of input", 1, 50)
+    for text, where in SAY_WHERE:
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.message, err.value.line, err.value.col) == where, text
