@@ -6,29 +6,16 @@ values it stores are propagated to the other handlers' reads, and the process
 iterates to a fixed point. A priority-aware feasibility pass proves certain
 cross-handler store-to-load flows impossible and removes them from the
 propagation, which turns many spurious warnings into proofs. A bounded
-concrete-execution oracle provides ground truth on small instances.
+concrete-execution oracle provides ground truth on small instances; it is
+imported only when one of its names is first used.
 """
 
-from .analyzer import (
-    AnalysisConfig,
-    AnalysisReport,
-    AnalysisResult,
-    analyze,
-    analyze_local,
-    collect_interferences,
-)
+from .analyzer import (AnalysisConfig, AnalysisReport, AnalysisResult, analyze, analyze_local,
+                       collect_interferences)
 from .cfg import Cfg, NodeId, build_cfg, dominators, post_dominators
 from .domain import AbstractState, Interval, check_assert, join, leq, transfer, widen
 from .feasibility import FeasibilityResult, must_not_read_from, rejected_pairs
 from .ir import Diagnostic, Handler, Program, format_program, validate
-from .oracle import (
-    OracleConfig,
-    OracleLimitError,
-    OracleResult,
-    collect_traces,
-    enumerate_executions,
-    thread_enumerate,
-)
 from .parser import ParseError, parse_file, parse_program
 
 __version__ = "0.1.0"
@@ -70,3 +57,15 @@ __all__ = [
     "validate",
     "widen",
 ]
+
+
+def __getattr__(name: str):
+    """The oracle's public names, imported on first use (PEP 562)."""
+    if name in __all__:  # every other public name is bound above
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

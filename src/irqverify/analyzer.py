@@ -43,6 +43,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .cfg import Cfg, NodeId, build_all
 from .domain import AbstractState, Interval, check_assert, join, transfer, widen
@@ -74,15 +75,13 @@ class AnalysisConfig:
             raise ValueError("widening delay must be at least 1")
 
 
-@dataclass(frozen=True)
-class VerdictEntry:
+class VerdictEntry(NamedTuple):
     assertion_id: str
     handler: str
     verdict: str  # "Proved" | "Warning"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     verdicts: tuple[VerdictEntry, ...]
     iterations: int
     pairs_total: int
@@ -99,10 +98,7 @@ class AnalysisReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "verdicts": [
-                {"assertion_id": v.assertion_id, "handler": v.handler, "verdict": v.verdict}
-                for v in self.verdicts
-            ],
+            "verdicts": [v._asdict() for v in self.verdicts],
             "pairs": self.pairs_json(),
             "iterations": self.iterations,
             "pruning_enabled": self.pruning_enabled,
@@ -296,6 +292,7 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
         cls: ok + feas.rejected[cls] for cls, ok in feas.admitted.items()}
     bottom = AbstractState.bottom()
     states = [[bottom] * len(f.graph.nodes) for f in facts]
+    merged: list[list[AbstractState] | None] = [None] * len(facts)  # each handler's last merged `local`
     iterations = 0
     changed = True
     while changed:
@@ -310,13 +307,16 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
 
         interference = {cls: hull for f, post in zip(facts, states)
                         for cls, hull in collect_interferences(feas.store_classes[f.handler], post).items()}
-        for f, post in zip(facts, states):
+        for h, (f, post) in enumerate(zip(facts, states)):
             load_classes = feas.load_classes[f.handler]
             admitted = admitted_hulls(load_classes, sources, interference)
             key = (f.handler, config.widen_delay, entry_state, tuple(admitted.items()))
             local = memo.get(key)
             if local is None:
                 local = memo[key] = analyze_local(f.graph, load_classes, admitted, config, entry_state)
+            elif local is merged[h]:
+                continue  # last round's key again: every post[i] already covers local[i]
+            merged[h] = local
             for i, state in enumerate(local):
                 old = post[i]
                 new = join(old, state)
@@ -329,17 +329,7 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
     for f, post in zip(facts, states):
         for ins, state in zip(f.graph.instr, post):
             if isinstance(ins, Assert):
-                verdicts.append(VerdictEntry(
-                    assertion_id=ins.uid,
-                    handler=f.handler,
-                    verdict="Proved" if check_assert(ins.cond, state) else "Warning",
-                ))
-
-    report = AnalysisReport(
-        verdicts=tuple(verdicts),
-        iterations=iterations,
-        pairs_total=feas.pairs_total,
-        pairs_pruned=feas.pairs_pruned,
-        pruning_enabled=config.pruning,
-    )
+                verdict = "Proved" if check_assert(ins.cond, state) else "Warning"
+                verdicts.append(VerdictEntry(ins.uid, f.handler, verdict))
+    report = AnalysisReport(tuple(verdicts), iterations, feas.pairs_total, feas.pairs_pruned, config.pruning)
     return AnalysisResult(report=report, facts=facts, feasibility=feas, states=states)

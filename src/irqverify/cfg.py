@@ -11,7 +11,6 @@ access facts are lists by the same index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, NamedTuple
 
@@ -44,8 +43,7 @@ class NodeId(NamedTuple):
         return f"{self.handler}:{self.index}"
 
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(NamedTuple):
     """One handler's control-flow graph, indexed by node.
 
     Node i is `nodes[i]`, and `instr`, `succs` and `preds` are indexed the same

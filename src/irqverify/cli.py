@@ -27,8 +27,13 @@ from .analyzer import AnalysisConfig, AnalysisReport, analyze, prepare
 from .cfg import dump_cfg
 from .feasibility import dump_facts
 from .ir import Program, validate
-from .oracle import OracleConfig, OracleLimitError, enumerate_executions
 from .parser import ParseError, parse_file
+
+
+def enumerate_executions(program: Program, config, cfgs=None):
+    """`oracle.enumerate_executions`, imported on first call: `analyze` and `facts` never load the oracle."""
+    from . import oracle
+    return oracle.enumerate_executions(program, config, cfgs)
 
 
 def _load(path: str) -> Program:
@@ -87,11 +92,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import OracleConfig, OracleLimitError
     program = _load(args.path)
     config = OracleConfig(max_invocations=args.oracle_budget,
                           unroll=args.unroll,
                           track_flows=args.track_flows)
-    result = enumerate_executions(program, config)
+    try:
+        result = enumerate_executions(program, config)
+    except OracleLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(_oracle_json(result), indent=2))
     return 0
 
@@ -103,6 +113,7 @@ def cmd_facts(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .oracle import OracleConfig, OracleLimitError
     program = _load(args.path)
     config = AnalysisConfig(widen_delay=args.widen_delay, max_outer=args.max_iters)
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
@@ -213,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError, OracleLimitError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -42,15 +42,13 @@ external solver is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
 from .ir import Program
 
 
-@dataclass(frozen=True)
-class HandlerFacts:
+class HandlerFacts(NamedTuple):
     """One handler's ground facts; entry i of every list describes node i of `graph`."""
 
     graph: Cfg
@@ -69,8 +67,7 @@ LoadClass = tuple[str, str, bool]  # (variable, handler, covered)
 StoreClass = tuple[str, str, bool]  # (variable, handler, intercepted)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """MustNotReadFrom at class granularity, decided once per pair of classes.
 
     Classes are grouped by handler, in handler order, and list their sites as

@@ -10,12 +10,16 @@ Handler bodies are structured statements (sequences, branches, loops) over
 affine integer expressions. All values are unbounded mathematical integers.
 Locals are scoped to one handler invocation and must be initialized at their
 declaration; globals carry an explicit initial value.
+
+Every node is a `typing.NamedTuple`: field reads run in C, and creating the
+classes compiles no per-class methods as `@dataclass` does, a cost a CLI run
+once per file pays at every start. Nodes keep the dataclass `repr` and are
+immutable; equality, hashing and truth are those of a node, not of a tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Literal, Union
+from typing import Iterator, Literal, NamedTuple, Union
 
 # ---------------------------------------------------------------------------
 # Expressions and conditions
@@ -24,8 +28,7 @@ from typing import Iterator, Literal, Union
 VarKind = Literal["global", "local"]
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(NamedTuple):
     """A resolved variable reference; `kind` says whether it names a global."""
 
     name: str
@@ -36,25 +39,21 @@ class VarRef:
         return self.kind == "global"
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(NamedTuple):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(NamedTuple):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(NamedTuple):
     """Multiplication by a compile-time constant; keeps expressions affine."""
 
     coeff: int
@@ -77,15 +76,13 @@ NEGATED: dict[str, CmpOp] = {
 }
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(NamedTuple):
     op: CmpOp
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Nondet:
+class Nondet(NamedTuple):
     """The `*` condition: both outcomes are possible, nothing is read."""
 
 
@@ -105,44 +102,37 @@ def negate_cond(cond: Cond) -> Cond:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     target: VarRef
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Assume:
+class Assume(NamedTuple):
     """Branch-arm filter. Never written in source; produced by CFG lowering."""
 
     cond: Cond
 
 
-@dataclass(frozen=True)
-class Assert:
+class Assert(NamedTuple):
     cond: Cmp
     uid: str
 
 
-@dataclass(frozen=True)
-class Havoc:
+class Havoc(NamedTuple):
     target: VarRef
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class If:
+class If(NamedTuple):
     cond: Cond
     then: tuple["Stmt", ...]
     orelse: tuple["Stmt", ...] = ()
 
 
-@dataclass(frozen=True)
-class While:
+class While(NamedTuple):
     cond: Cond
     body: tuple["Stmt", ...]
 
@@ -153,20 +143,32 @@ Stmt = Union[Assign, Assume, Assert, Havoc, Skip, If, While]
 Instr = Union[Assign, Assume, Assert, Havoc, Skip]
 
 
-@dataclass(frozen=True)
-class Handler:
+class Handler(NamedTuple):
     name: str
     priority: int
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     globals: tuple[tuple[str, int], ...]
     handlers: tuple[Handler, ...]
 
     def global_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.globals)
+
+
+def _same_node(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+# A node is a value of its own type, not a tuple: equality and hashing tell
+# types apart, so Add(a, b) != Sub(a, b), and a node without fields is true.
+for _cls in (VarRef, Const, Add, Sub, Mul, Cmp, Nondet, Assign, Assume, Assert, Havoc, Skip,
+             If, While, Handler, Program):
+    _cls.__eq__, _cls.__ne__ = _same_node, lambda self, other: not _same_node(self, other)
+    _cls.__hash__ = lambda self: hash((self.__class__.__name__, *self))
+    _cls.__bool__ = lambda self: True
+del _cls
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +214,7 @@ def instr_write(ins: Instr) -> VarRef | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     where: str

@@ -72,7 +72,7 @@ from __future__ import annotations
 import gc
 import operator
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cfg import Cfg, NodeId, build_cfg, node_global_reads, node_global_write
 from .ir import (
@@ -118,8 +118,7 @@ class OracleConfig:
             raise ValueError("oracle bounds must be at least 1")
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     violated: frozenset[str]
     flows: frozenset[tuple[NodeId, NodeId, str]]
     executions: int

@@ -360,6 +360,55 @@ def test_shared_memo_skips_the_plain_fixpoint_when_nothing_is_pruned(name, monke
     assert calls == []
 
 
+
+def test_converged_round_merges_only_recomputed_handlers(monkeypatch):
+    # a memo hit on the key a handler had the round before returns the list it
+    # merged then, which its states already cover: the merge is skipped, so the
+    # converged round joins only the nodes of handlers whose fixpoint it recomputed
+    import irqverify.analyzer as analyzer_mod
+
+    events = []  # per analysis: "round", a recomputed graph, or None for a join outside analyze_local
+    inside = []
+    real_join, real_local = analyzer_mod.join, analyzer_mod.analyze_local
+    real_collect = analyzer_mod.collect_interferences
+
+    def counted_join(a, b):
+        if not inside:
+            events.append(None)
+        return real_join(a, b)
+
+    def marked_local(g, *args):
+        events.append(g)
+        inside.append(g)
+        try:
+            return real_local(g, *args)
+        finally:
+            inside.pop()
+
+    def marked_collect(*args):  # called once per handler after the round's entry joins
+        events.append("round")
+        return real_collect(*args)
+
+    monkeypatch.setattr(analyzer_mod, "join", counted_join)
+    monkeypatch.setattr(analyzer_mod, "analyze_local", marked_local)
+    monkeypatch.setattr(analyzer_mod, "collect_interferences", marked_collect)
+    programs = [load_corpus(name) for name in CORPUS_NAMES]
+    programs += [random_program(random.Random(seed)) for seed in range(200)]
+    runs = quiet = 0
+    for p in programs:
+        for config in (AnalysisConfig(), AnalysisConfig(pruning=False)):
+            events.clear()
+            analyze(p, config)
+            last = len(events) - events[::-1].index("round")
+            final = events[last:]  # the converged round's fixpoints and merge joins
+            recomputed = [g for g in final if g is not None]
+            assert final.count(None) == sum(len(g.nodes) for g in recomputed)
+            runs += 1
+            quiet += not recomputed
+    # most analyses end on a round whose every handler hits last round's key
+    assert quiet > runs // 2, (quiet, runs)
+
+
 def test_analysis_sound_against_oracle_on_corpus():
     for name in CORPUS_NAMES:
         p = load_corpus(name)

@@ -309,3 +309,74 @@ def test_cli_byte_identical_across_runs():
         a = subprocess.run(cmd, capture_output=True)
         b = subprocess.run(cmd, capture_output=True)
         assert a.stdout == b.stdout and a.returncode == b.returncode
+
+
+# ---------------------------------------------------------------------------
+# cold start: each command imports only what it runs
+# ---------------------------------------------------------------------------
+
+_RUN_AND_LIST_ORACLE = """
+import sys
+from irqverify.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("oracle loaded:", "irqverify.oracle" in sys.modules, "exit:", code)
+"""
+
+
+def _run_in_fresh_process(*argv):
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_ORACLE, *argv],
+                          capture_output=True, text=True)
+    assert proc.stderr == ""
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 0),  # the import alone
+    (["analyze", str(corpus_path("three_priorities"))], 1),
+    (["analyze", "--json", "--no-pruning", "--dump-cfg", "--dump-facts",
+      str(corpus_path("trace_subset"))], 0),
+    (["facts", str(corpus_path("three_priorities"))], 0),
+])
+def test_import_analyze_and_facts_do_not_load_the_oracle(argv, code):
+    assert _run_in_fresh_process(*argv) == f"oracle loaded: False exit: {code}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--track-flows", str(corpus_path("three_priorities"))],
+    ["compare", "--json", "--oracle-budget", "2", str(corpus_path("loop_store_overwrite"))],
+])
+def test_oracle_and_compare_load_the_oracle_when_they_run(argv):
+    assert _run_in_fresh_process(*argv) == "oracle loaded: True exit: 0"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    script = """
+import sys
+import irqverify
+assert "irqverify.oracle" not in sys.modules
+listed = dir(irqverify)
+missing = [name for name in irqverify.__all__ if name not in listed]
+assert not missing, missing
+for name in irqverify.__all__:
+    getattr(irqverify, name)
+from irqverify import OracleLimitError, enumerate_executions
+from irqverify.oracle import OracleLimitError as direct
+assert OracleLimitError is direct and enumerate_executions.__module__ == "irqverify.oracle"
+try:
+    irqverify.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'irqverify' has no attribute 'no_such_name'\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "facts", "compare"])
+def test_input_nested_too_deeply_exits_two(command, tmp_path):
+    src = tmp_path / "deep.irq"
+    src.write_text("global x = 0; handler h priority 0 { x = " + "(" * 3000 + "1"
+                   + ")" * 3000 + "; }\n")
+    proc = subprocess.run([sys.executable, "-m", "irqverify", command, str(src)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: input nests too deeply\n")

@@ -24,7 +24,7 @@ the line counts of its text.
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import pytest
@@ -208,7 +208,7 @@ def test_dump_matches_reference_on_eight_equal_priorities():
     rng = random.Random(88)
     for i in range(5):
         program = random_program(rng, handler_count=8)
-        program = replace(program, handlers=tuple(replace(h, priority=1) for h in program.handlers))
+        program = program._replace(handlers=tuple(h._replace(priority=1) for h in program.handlers))
         sizes = [len(g.nodes) for g in build_all(program)[0]]
         _, counts = streamed_dump(program)
         # every ordered pair of distinct handlers shields

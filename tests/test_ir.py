@@ -4,6 +4,7 @@ import pytest
 
 from irqverify import ParseError, format_program, parse_program, validate
 from irqverify.ir import (
+    Add,
     Assert,
     Assign,
     Assume,
@@ -12,16 +13,23 @@ from irqverify.ir import (
     Handler,
     Havoc,
     If,
+    Mul,
     NONDET,
+    Nondet,
     Program,
     Skip,
+    Sub,
     VarRef,
     While,
     negate_cond,
 )
 
+import ir_reference
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
+
+NODE_CLASSES = (VarRef, Const, Add, Sub, Mul, Cmp, Nondet, Assign, Assume, Assert, Havoc, Skip,
+                If, While, Handler, Program)
 
 
 def test_parse_minimal_program():
@@ -165,3 +173,85 @@ def test_negate_cond_involution():
     ops = {"==": "!=", "<": ">=", "<=": ">", ">": "<=", ">=": "<", "!=": "=="}
     for op, want in ops.items():
         assert negate_cond(Cmp(op, Const(0), Const(1))).op == want
+
+
+# ---------------------------------------------------------------------------
+# Node semantics: NamedTuples that behave like the frozen dataclasses they replaced
+# ---------------------------------------------------------------------------
+
+
+def _nodes(node):
+    """`node` and every node below it, in document order."""
+    yield node
+    for value in node:
+        for item in value if type(value) is tuple else (value,):
+            if type(item).__name__ in ir_reference.NODE_CLASSES:
+                yield from _nodes(item)
+
+
+def _semantics_programs():
+    programs = [(name, load_corpus(name)) for name in CORPUS_NAMES]
+    return programs + [(f"progen seed {seed}", random_program(random.Random(seed)))
+                       for seed in range(200)]
+
+
+def test_node_classes_are_the_reference_ones():
+    assert set(ir_reference.NODE_CLASSES) == {cls.__name__ for cls in NODE_CLASSES}
+    for cls in NODE_CLASSES:
+        assert cls._fields == tuple(ir_reference.NODE_CLASSES[cls.__name__].__dataclass_fields__)
+
+
+def test_nodes_keep_the_dataclass_repr_equality_and_hashing():
+    seen = set()
+    for label, p in _semantics_programs():
+        ref = ir_reference.to_reference(p)
+        assert repr(p) == repr(ref), label
+        nodes = list(_nodes(p))
+        for node, previous in zip(nodes, nodes[-1:] + nodes[:-1]):
+            cls = type(node)
+            seen.add(cls)
+            copy = cls(*node)
+            assert copy == node and not copy != node and hash(copy) == hash(node), label
+            assert node != tuple(node) and not node == tuple(node), label
+            # a neighbour compares as its reference copy does
+            same = ir_reference.to_reference(node) == ir_reference.to_reference(previous)
+            assert (node == previous) is same and (node != previous) is not same, label
+            if same:
+                assert hash(node) == hash(previous), label
+            for other in NODE_CLASSES:
+                if other is not cls and len(other._fields) == len(cls._fields):
+                    twin = other(*node)
+                    assert twin != node and not twin == node, (label, cls, other)
+    assert seen == set(NODE_CLASSES) - {Assume}  # lowering makes assumes; no source has one
+
+
+def test_nodes_of_different_types_with_the_same_fields_differ():
+    a, b = VarRef("x", "global"), Const(1)
+    assert Add(a, b) != Sub(a, b) and not Add(a, b) == Sub(a, b)
+    assert hash(Add(a, b)) != hash(Sub(a, b))
+    assert Skip() != NONDET and Assume(NONDET) != Havoc(NONDET)
+    assert len({Add(a, b), Sub(a, b), Add(a, b)}) == 2
+
+
+def test_nodes_are_immutable_and_truthy():
+    x = VarRef("x", "global")
+    body = (Assign(x, Const(1)), Skip())
+    program = Program((("x", 0),), (Handler("h", 0, body),))
+    for node in _nodes(program):
+        for field in node._fields:
+            with pytest.raises(AttributeError):
+                setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        assert node
+    assert Skip() and NONDET and bool(Skip()) is True and bool(NONDET) is True
+    assert If(Cmp("<", x, Const(3)), body).orelse == ()
+
+
+def test_diagnostics_keep_the_dataclass_repr():
+    body = (Assign(VarRef("x", "local"), Const(1)), Assume(NONDET))
+    diags = validate(Program((("x", 0), ("x", 1)), (Handler("h", -1, body),)))
+    assert len(diags) == 4
+    for d in diags:
+        ref = ir_reference.Diagnostic(*d)
+        assert repr(d) == repr(ref) and str(d) == str(ref)

@@ -30,7 +30,6 @@ with the search either.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -377,7 +376,7 @@ def test_recorded_traces_are_not_reduced(interrupt, enumerate_fn):
     for name, p in _corpus(two_handlers_only=not interrupt):
         want = _Unreduced(p, config, interrupt).run()
         got = enumerate_fn(p, config)
-        assert replace(got, executions=want.executions) == want, name
+        assert got._replace(executions=want.executions) == want, name
         assert 0 < got.executions <= want.executions, name
 
 
