@@ -19,7 +19,7 @@ so the fixpoint reads each handler's part of it as it is: `analyze_local`
 joins at the sites of each load class, `collect_interferences` reads the
 sites of each store class, and `admitted_hulls` reads per load class the store
 classes it admits. Node states live in per-handler lists indexed like the
-graph; the `node_states` map is built from them only when it is first read. A
+graph, and the result holds those lists as they are. A
 handler's local fixpoint is a function of its entry state and admitted hulls,
 so `analyze` looks each one up in a memo first, which `compare` shares between
 its pruned and unpruned analyses. Within a local fixpoint, widening at loop
@@ -39,13 +39,11 @@ node that is exactly the state its condition is checked against.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
-from .cfg import Cfg, NodeId, build_all
+from .cfg import Cfg, build_all
 from .domain import AbstractState, Interval, check_assert, join, transfer, widen
 from .feasibility import (
     FeasibilityResult,
@@ -57,7 +55,6 @@ from .feasibility import (
 )
 from .ir import Assert, Program
 
-NodeStates = dict[NodeId, AbstractState]
 #: (handler, widening delay, entry state, admitted hulls) -> `analyze_local`'s states
 LocalMemo = dict[tuple, list[AbstractState]]
 
@@ -92,36 +89,14 @@ class AnalysisReport(NamedTuple):
     def pairs_ratio(self) -> float:
         return self.pairs_pruned / self.pairs_total if self.pairs_total else 0.0
 
-    def pairs_json(self) -> dict:
-        """The `"pairs"` object of the `analyze` and `compare` JSON output."""
-        return {"total": self.pairs_total, "pruned": self.pairs_pruned, "ratio": self.pairs_ratio}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdicts": [v._asdict() for v in self.verdicts],
-            "pairs": self.pairs_json(),
-            "iterations": self.iterations,
-            "pruning_enabled": self.pruning_enabled,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-
-@dataclass
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     """Report plus the internals tests and the CLI drill into."""
 
     report: AnalysisReport
     facts: list[HandlerFacts]
     feasibility: FeasibilityResult
     states: list[list[AbstractState]]  # per handler, the state after each node, by node index
-
-    @cached_property
-    def node_states(self) -> NodeStates:
-        """Every node's state, in handler and then node order."""
-        return {n: state for f, post in zip(self.facts, self.states)
-                for n, state in zip(f.graph.nodes, post)}
 
 
 def admitted_hulls(load_classes: dict[LoadClass, list[int]], sources: dict[LoadClass, list[StoreClass]],
@@ -332,4 +307,4 @@ def analyze(program: Program, config: AnalysisConfig | None = None,
                 verdict = "Proved" if check_assert(ins.cond, state) else "Warning"
                 verdicts.append(VerdictEntry(ins.uid, f.handler, verdict))
     report = AnalysisReport(tuple(verdicts), iterations, feas.pairs_total, feas.pairs_pruned, config.pruning)
-    return AnalysisResult(report=report, facts=facts, feasibility=feas, states=states)
+    return AnalysisResult(report, facts, feas, states)

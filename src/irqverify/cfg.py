@@ -221,23 +221,20 @@ def build_all(program: Program) -> tuple[list[Cfg], list[AccessInfo]]:
     return cfgs, infos
 
 
-def _relation_lines(kind: str, masks: Iterable[int], names: list[str]) -> list[str]:
-    """`kind a b` for every a in b's mask, ordered by a and then b.
-
-    Reads the masks column by column: row a of the transpose lists, in index
-    order, the nodes whose mask holds a.
-    """
-    rows: list[list[str]] = [[] for _ in names]
+def transposed(masks: list[int]) -> list[list[int]]:
+    """Row a lists, in index order, the nodes whose mask holds a."""
+    rows: list[list[int]] = [[] for _ in masks]
     for b, mask in enumerate(masks):
         while mask:
             low = mask & -mask
-            rows[low.bit_length() - 1].append(names[b])
+            rows[low.bit_length() - 1].append(b)
             mask ^= low
-    return [f"{kind} {names[a]} {b}" for a, row in enumerate(rows) for b in row]
+    return rows
 
 
-def dump_cfg(g: Cfg) -> list[str]:
-    """Line-oriented debug rendering of the graph and its dominance relations."""
+def dump_cfg(g: Cfg, dom: list[int], postdom: list[int]) -> list[str]:
+    """Line-oriented debug rendering of the graph and of the dominance masks it is
+    given: `dom a b` for every a in b's mask, ordered by a and then b."""
     names = [str(n) for n in g.nodes]
     lines = [f"cfg {g.handler} entry={names[0]} exit={names[-1]}"]
     for i, name in enumerate(names):
@@ -247,6 +244,6 @@ def dump_cfg(g: Cfg) -> list[str]:
         for t in targets:
             kind = "back" if (s, t) in g.back_edges else "edge"
             lines.append(f"{kind} {names[s]} -> {names[t]}")
-    lines += _relation_lines("dom", dominators(g), names)
-    lines += _relation_lines("postdom", post_dominators(g), names)
+    for kind, masks in (("dom", dom), ("postdom", postdom)):
+        lines += [f"{kind} {names[a]} {names[b]}" for a, row in enumerate(transposed(masks)) for b in row]
     return lines

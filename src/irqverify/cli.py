@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 all assertions proved (or none), 1 at least one warning,
 2 input error (including input nested too deeply to process) or ``oracle``
 exceeding its state ceiling, 3 soundness discrepancy in ``compare``, 4
-internal error (traceback, then ``error: internal error: ...`` on stderr).
+internal error (traceback, then ``error: internal error: ...`` on stderr),
+141 (128 + SIGPIPE) stdout closed by its reader (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from dataclasses import replace
@@ -49,9 +51,16 @@ def _pairs_line(report: AnalysisReport) -> str:
             f"ratio={report.pairs_ratio:.2f}")
 
 
+def _pairs_json(report: AnalysisReport) -> dict:
+    """The `"pairs"` object of the `analyze` and `compare` JSON output."""
+    return {"total": report.pairs_total, "pruned": report.pairs_pruned, "ratio": report.pairs_ratio}
+
+
 def _render_report(report: AnalysisReport, as_json: bool) -> str:
     if as_json:
-        return report.to_json()
+        return json.dumps({"verdicts": [v._asdict() for v in report.verdicts], "pairs": _pairs_json(report),
+                           "iterations": report.iterations, "pruning_enabled": report.pruning_enabled},
+                          indent=2)
     lines = [f"{'assertion':<20} {'handler':<12} verdict"]
     for v in report.verdicts:
         lines.append(f"{v.assertion_id:<20} {v.handler:<12} {v.verdict}")
@@ -84,7 +93,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     result = analyze(program, config)
     if args.dump_cfg:
         for f in result.facts:
-            print("\n".join(dump_cfg(f.graph)))
+            print("\n".join(dump_cfg(f.graph, f.dom, f.postdom)))
     if args.dump_facts:
         dump_facts(result.facts, result.feasibility, sys.stdout.write)
     print(_render_report(result.report, args.json))
@@ -149,7 +158,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     payload = {
         "rows": rows,
-        "pairs": pruned.report.pairs_json(),
+        "pairs": _pairs_json(pruned.report),
         "oracle_skipped": oracle_skipped,
         "sound": not discrepancies,
     }
@@ -223,7 +232,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: send the interpreter's final flush nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

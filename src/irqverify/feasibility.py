@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators
+from .cfg import AccessInfo, Cfg, NodeId, dominators, post_dominators, transposed
 from .ir import Program
 
 
@@ -230,13 +230,7 @@ def dump_facts(facts: list[HandlerFacts], result: FeasibilityResult,
             counts[rel] += len(lines)
 
     def dominance_lines(rel: str, masks: list[int], at: list[str]) -> list[str]:
-        lines = []
-        for b, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                lines.append(f"{rel}({at[low.bit_length() - 1]}, {at[b]})")
-                mask ^= low
-        return lines
+        return [f"{rel}({at[a]}, {at[b]})" for a, row in enumerate(transposed(masks)) for b in row]
 
     block("CoveredLoad", lambda f, at: [f"CoveredLoad({at[i]}, {v})"
                                         for (v, _, covered), sites in result.load_classes[f.handler].items()

@@ -36,6 +36,12 @@ def load_expected(name: str) -> dict:
     return json.loads((CORPUS / f"{name}.expected.json").read_text())
 
 
+def node_states(result) -> dict:
+    """Every node's state of an `AnalysisResult`, keyed by `NodeId`, in handler and then node order."""
+    return {n: state for f, post in zip(result.facts, result.states)
+            for n, state in zip(f.graph.nodes, post)}
+
+
 @pytest.fixture(params=CORPUS_NAMES)
 def corpus_name(request) -> str:
     return request.param

@@ -29,7 +29,7 @@ from irqverify import (
 from irqverify.domain import join as state_join, widen as state_widen
 
 from cfg_reference import mask_pairs
-from conftest import CORPUS_NAMES, corpus_path, load_corpus
+from conftest import CORPUS_NAMES, corpus_path, load_corpus, node_states
 from progen import oracle_budget, random_program
 from test_cfg import _small_random_cfgs, brute_dominators, brute_post_dominators
 from test_domain import random_interval, random_state
@@ -184,12 +184,14 @@ def _check_against_oracle(p, budget, label, failures, stats):
         proved = {v.assertion_id for v in result.report.verdicts if v.verdict == "Proved"}
         if proved & oracle.violated:
             failures["proved_violated"].append((label, result.report.pruning_enabled))
+        states = node_states(result)
         for (node, var, value) in oracle.assert_values:
-            if not result.node_states[node].get(var).contains(value):
+            if not states[node].get(var).contains(value):
                 failures["containment"].append((label, result.report.pruning_enabled,
                                                 str(node), var, value))
-    for node, state in pruned.node_states.items():
-        if not leq(state, plain.node_states[node]):
+    plain_states = node_states(plain)
+    for node, state in node_states(pruned).items():
+        if not leq(state, plain_states[node]):
             failures["refinement"].append((label, str(node)))
 
 

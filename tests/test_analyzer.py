@@ -13,13 +13,14 @@ from irqverify import (
     leq,
     parse_program,
 )
-from irqverify.analyzer import AnalysisResult, admitted_hulls, prepare
+from irqverify.analyzer import admitted_hulls, prepare
 from irqverify.cfg import NodeId
-from irqverify.cli import main
+from irqverify.cli import _render_report
 from irqverify.domain import AbstractState, Interval
 from irqverify.ir import Assert
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus, load_expected
+from certificate import certificate_problems
+from conftest import CORPUS_NAMES, load_corpus, load_expected, node_states
 from progen import random_program
 
 
@@ -227,12 +228,12 @@ def test_reports_are_deterministic():
     a = analyze(p).report
     b = analyze(p).report
     assert a == b
-    assert a.to_json() == b.to_json()
+    assert _render_report(a, True) == _render_report(b, True)
 
 
 def test_report_json_schema():
     p = load_corpus("three_priorities")
-    payload = json.loads(analyze(p).report.to_json())
+    payload = json.loads(_render_report(analyze(p).report, True))
     assert list(payload.keys()) == ["verdicts", "pairs", "iterations", "pruning_enabled"]
     assert list(payload["pairs"].keys()) == ["total", "pruned", "ratio"]
     assert payload["pruning_enabled"] is True
@@ -264,7 +265,7 @@ def test_cross_round_widening_terminates_unbounded_growth():
 def test_higher_priority_warning_survives_pruning():
     p = load_corpus("branch_overwrites")
     result = analyze(p)
-    states = result.node_states
+    states = node_states(result)
     nodes = {ins.uid: n for f in result.facts for n, ins in zip(f.graph.nodes, f.graph.instr)
              if isinstance(ins, Assert)}
     # the high handler reads y while the medium one may have left y = 0
@@ -279,40 +280,12 @@ def test_pruning_refines_on_corpus_and_random_programs():
     for p in programs:
         with_pruning = analyze(p, AnalysisConfig(pruning=True))
         without = analyze(p, AnalysisConfig(pruning=False))
-        for node, state in with_pruning.node_states.items():
-            assert leq(state, without.node_states[node])
+        plain_states = node_states(without)
+        for node, state in node_states(with_pruning).items():
+            assert leq(state, plain_states[node])
         proved_without = {v.assertion_id for v in without.report.verdicts if v.verdict == "Proved"}
         proved_with = {v.assertion_id for v in with_pruning.report.verdicts if v.verdict == "Proved"}
         assert proved_without <= proved_with
-
-
-def test_node_states_are_built_on_first_read():
-    programs = [load_corpus(name) for name in CORPUS_NAMES]
-    programs += [random_program(random.Random(seed)) for seed in range(20)]
-    for p in programs:
-        result = analyze(p)
-        assert "node_states" not in result.__dict__
-        want = [(n, state) for f, post in zip(result.facts, result.states)
-                for n, state in zip(f.graph.nodes, post)]
-        assert list(result.node_states.items()) == want
-        assert "node_states" in result.__dict__
-
-
-@pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["analyze", "--dump-cfg", "--dump-facts"]],
-                         ids=" ".join)
-def test_cli_never_builds_node_states(argv, monkeypatch, capsys):
-    reads = []
-    real = AnalysisResult.__dict__["node_states"]
-
-    def counted(self):
-        reads.append(self)
-        return real.__get__(self, AnalysisResult)
-
-    monkeypatch.setattr(AnalysisResult, "node_states", property(counted))
-    for name in CORPUS_NAMES:
-        assert main([*argv, str(corpus_path(name))]) in (0, 1)
-    assert capsys.readouterr().out
-    assert reads == []
 
 
 class _NoMemo(dict):
@@ -335,7 +308,7 @@ def test_shared_memo_is_exact():
             shared = analyze(p, config, prepared, memo)
             alone = analyze(p, config, prepared, _NoMemo())
             assert shared.report == alone.report, (label, config)
-            assert shared.node_states == alone.node_states, (label, config)
+            assert node_states(shared) == node_states(alone), (label, config)
 
 
 @pytest.mark.parametrize("name", ["covered_only", "uncovered_pair"])
@@ -420,6 +393,19 @@ def test_analysis_sound_against_oracle_on_corpus():
             result = analyze(p, config)
             proved = {v.assertion_id for v in result.report.verdicts if v.verdict == "Proved"}
             assert proved & oracle.violated == set()
-            nodes = result.node_states
+            nodes = node_states(result)
             for (node, var, value) in oracle.assert_values:
                 assert nodes[node].get(var).contains(value), (name, node, var, value)
+
+
+def test_certificate_rejects_a_result_below_the_fixpoint():
+    # `certificate.py` passes every analysis of the node-state digest; here it
+    # must fail a result whose final states miss what the equations reach
+    p = load_corpus("three_priorities")
+    config = AnalysisConfig()
+    result = analyze(p, config)
+    assert certificate_problems(p, config, result) == []
+    states = [list(post) for post in result.states]
+    states[0][-1] = AbstractState.bottom()  # the first handler never returns
+    problems = certificate_problems(p, config, result._replace(states=states))
+    assert problems and all("does not cover" in line for line in problems)

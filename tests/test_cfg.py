@@ -273,6 +273,6 @@ def test_access_info_branch_conditions_load_globals():
 def test_dump_cfg_mentions_every_node():
     p = load_corpus("three_priorities")
     g = handler_cfg(p, "irq_M")
-    text = "\n".join(dump_cfg(g))
+    text = "\n".join(dump_cfg(g, dominators(g), post_dominators(g)))
     for n in g.nodes:
         assert str(n) in text

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from irqverify import build_cfg, format_program, parse_program
-from irqverify.cfg import dump_cfg
+from irqverify.cfg import dominators, dump_cfg, post_dominators
 
 import cfg_reference
 from conftest import CORPUS_NAMES, load_corpus
@@ -35,7 +35,7 @@ def assert_same_graphs(program, label):
         assert {at[i] for i in new.loop_heads} == old.loop_heads, where
         assert {(at[s], at[t]) for s, t in new.back_edges} == old.back_edges, where
         assert {at[a]: at[h] for a, h in new.loop_exits.items()} == old.loop_exits, where
-        assert dump_cfg(new) == cfg_reference.dump_cfg(old), where
+        assert dump_cfg(new, dominators(new), post_dominators(new)) == cfg_reference.dump_cfg(old), where
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

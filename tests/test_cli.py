@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from irqverify.cli import main
 from irqverify.ir import format_program
+from irqverify.parser import parse_file
 
 from conftest import CORPUS_NAMES, corpus_path
 from progen import random_program
@@ -152,6 +154,31 @@ def test_analyze_dump_flags(capsys):
     assert "cfg irq0" in out and "cfg irq1" in out
     assert "MustNotReadFrom(irq0:1, irq1:4, x)" in out
     assert any(line.startswith("dom ") for line in out.splitlines())
+
+
+def test_dump_cfg_prints_the_dominance_the_analysis_computed(capsys, monkeypatch):
+    """`analyze --dump-cfg` renders the masks of each handler's facts record:
+    dominance is computed once per handler, wherever it is looked up from."""
+    import irqverify.cfg as cfg_mod
+    import irqverify.feasibility as feasibility_mod
+
+    calls = {"dominators": 0, "post_dominators": 0}
+    for name in calls:
+        real = getattr(cfg_mod, name)
+
+        def counted(g, name=name, real=real):
+            calls[name] += 1
+            return real(g)
+
+        for module in (cfg_mod, feasibility_mod):
+            monkeypatch.setattr(module, name, counted)
+    for name in CORPUS_NAMES:
+        path = corpus_path(name)
+        handlers = len(parse_file(str(path)).handlers)
+        calls.update(dict.fromkeys(calls, 0))
+        code, out, _ = run_cli(capsys, "analyze", "--dump-cfg", str(path))
+        assert code in (0, 1) and "dom " in out and "postdom " in out
+        assert calls == {"dominators": handlers, "post_dominators": handlers}, name
 
 
 def test_dump_facts_flag_writes_the_facts_dump_before_the_report(capsys, tmp_path):
@@ -380,3 +407,39 @@ def test_input_nested_too_deeply_exits_two(command, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "irqverify", command, str(src)],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: input nests too deeply\n")
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+# ---------------------------------------------------------------------------
+
+
+def _run_with_closed_stdout(*argv):
+    """Run the CLI with its stdout a pipe whose read end is closed before it
+    writes anything, as `irqverify ... | head` does once head has read enough.
+
+    Stdout is block-buffered, as in a shell pipe, whatever the caller's
+    environment says."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen([sys.executable, "-m", "irqverify", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # the child is still starting the interpreter
+        err = proc.stderr.read()
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["oracle", "--track-flows"], ["facts"], ["compare"]],
+                         ids=" ".join)
+def test_closed_stdout_exits_141_quietly(argv):
+    # output that fits the stdout buffer fails at the final flush
+    assert _run_with_closed_stdout(*argv, str(corpus_path("three_priorities"))) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [["facts"], ["analyze", "--dump-cfg", "--dump-facts"]], ids=" ".join)
+def test_closed_stdout_exits_141_quietly_on_large_output(argv, capsys, tmp_path):
+    # output larger than the buffer, and than a pipe holds, fails while the command writes
+    src = tmp_path / "eight.irq"
+    src.write_text(format_program(random_program(random.Random(5), handler_count=8)))
+    _, out, _ = run_cli(capsys, *argv, str(src))
+    assert len(out) > 1 << 16
+    assert _run_with_closed_stdout(*argv, str(src)) == (141, b"")

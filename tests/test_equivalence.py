@@ -11,7 +11,8 @@ CLI output shows verdicts, not node states, so `STATES_PINNED` pins what
 `analyze` computes: the sha256 over the report and every node's state, on the
 corpus, progen seeds 0-499 and the perfbench seed-0 batches, under three
 configurations. It was recorded before the fixpoint read the class table
-directly.
+directly. Each of those analyses must also pass the fixpoint certificate of
+`certificate.py`, which checks soundness where a digest only checks change.
 """
 
 import contextlib
@@ -26,7 +27,8 @@ from irqverify.cli import main
 from irqverify.ir import format_program
 from irqverify.parser import parse_program
 
-from conftest import CORPUS_NAMES, corpus_path, load_corpus
+from certificate import certificate_problems
+from conftest import CORPUS_NAMES, corpus_path, load_corpus, node_states
 from progen import random_program
 from test_parser_reference import _perfbench_seed0_texts
 
@@ -83,7 +85,8 @@ def test_node_states_match_pinned_digest():
     for config in (AnalysisConfig(), AnalysisConfig(pruning=False), AnalysisConfig(widen_delay=1)):
         for program in programs:
             result = analyze(program, config)
+            assert certificate_problems(program, config, result) == []
             h.update(f"{result.report!r}\0".encode())
-            for node, state in result.node_states.items():
+            for node, state in node_states(result).items():
                 h.update(f"{node!r}\0{state!r}\0".encode())
     assert h.hexdigest() == STATES_PINNED

@@ -32,7 +32,6 @@ from irqverify import FeasibilityResult, must_not_read_from, rejected_pairs
 from irqverify.analyzer import (
     AnalysisConfig,
     AnalysisReport,
-    NodeStates,
     VerdictEntry,
     analyze,
 )
@@ -42,10 +41,12 @@ from irqverify.feasibility import extract_facts
 from irqverify.ir import Assert, Program
 
 from cfg_reference import Cfg, access_info, build_cfg
-from conftest import CORPUS_NAMES, load_corpus
+from conftest import CORPUS_NAMES, load_corpus, node_states
 from progen import random_program
 from test_feasibility import covered_loads, intercepted_stores
 
+#: Every node's state after its instruction.
+NodeStates = dict[NodeId, AbstractState]
 #: Per-variable interference: ordered (store node, written value) pairs.
 InterferenceMap = dict[str, tuple[tuple[NodeId, Interval], ...]]
 
@@ -284,7 +285,7 @@ def test_node_states_match_reference(config):
     for label, program in _fixpoint_programs():
         want_states, want_report = reference_analyze(program, config)
         got = analyze(program, config)
-        assert got.node_states == want_states, label
+        assert node_states(got) == want_states, label
         for name in ("verdicts", "iterations", "pairs_total", "pairs_pruned", "pruning_enabled"):
             assert getattr(got.report, name) == getattr(want_report, name), (label, name)
         assert got.report == want_report, label
