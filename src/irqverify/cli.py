@@ -126,7 +126,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     program = _load(args.path)
     config = AnalysisConfig(widen_delay=args.widen_delay, max_outer=args.max_iters)
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
-                                 track_flows=False)
+                                 distinct_writers=False)
     prepared = prepare(program)
     memo = {}  # shared: a handler whose admitted hulls pruning leaves unchanged is solved once
     pruned = analyze(program, config, prepared, memo)

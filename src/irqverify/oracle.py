@@ -26,7 +26,7 @@ once from its graph: row i, for the node of index i, is the tuple
   `(global_env, locals)` that reads globals by index;
 - its successor steps as `(successor index, is back edge, index of the loop
   head it exits or -1)`;
-- the indices of the globals it reads, and whether it is local-only;
+- the indices of the globals it reads, and its conflict mask (see below);
 - its `NodeId`, which is what flows, traces and assertion values report;
 - the index of the global it writes, or -1; and the instruction.
 
@@ -37,18 +37,34 @@ onto the stack. A stack item is the bare state, or `(state, trace so far)`
 when traces are recorded.
 
 Unless traces are recorded, the search applies static partial-order reduction
-with a singleton ample set. A node is local-only when it reads no global,
-writes no global and is not an assertion (the synthetic exit and the join
-skips are local-only). Stepping a frame at such a node commutes with every
-other frame's steps and with every invocation, so when the innermost frame
-(under thread semantics, the first frame in frame order) sits at one, only
-that frame steps. The guard: the reduction applies only when that step has
-at least one successor. A dead-end step, such as a loop body's last node
-whose back edge exceeds the unroll bound, ends the path, and the invocations
-offered at that state are then the only way on. The state graph is acyclic
-(budgets fall and loop counts are bounded), so no cycle proviso is needed.
-The reduction keeps every violation, flow, assertion value, truncation and
-distinct end state; it only explores fewer states on the way.
+with a singleton ample set. A node's conflict mask has a bit for each handler
+whose steps may not commute with the node's step. Under interrupt semantics
+these are the handlers of higher priority that write a global the step
+reads, or read or write the global it writes; an assertion is a step like
+any other. Until the innermost frame steps, only handlers of higher priority
+with budget left can run, and budgets only fall. So when the mask shares no
+bit with `live`, the mask of the handlers with budget left, the step
+commutes with everything that could run before it, and that frame steps
+alone. Under thread semantics the mask is 0 at a local-only node, one that
+reads no global, writes no global and is not an assertion (the synthetic
+exit and the join skips are local-only). Anywhere else it is the bit
+`always`, which no handler owns and `live` always carries. The first frame
+in frame order whose mask is clear steps alone. The guard: the reduction
+applies only when that step has at least one successor. A dead-end step,
+such as a loop body's last node whose back edge exceeds the unroll bound,
+ends the path, and the invocations offered at that state are then the only
+way on. The state graph is acyclic (budgets fall and loop counts are
+bounded), so no cycle proviso is needed. The reduction keeps every
+violation, flow, assertion value, truncation and distinct end state; it
+only explores fewer states on the way.
+
+Writers feed only flows and the execution count, which counts distinct end
+states. With neither `track_flows` nor `distinct_writers` (the configuration
+`compare` runs, since it reads only `violated`) the search never updates the
+slot, so states that differ only in who wrote a global are one state, and
+`executions` counts end states without their writers. Fewer states are
+explored, so the `max_executions` and `max_states` ceilings are reached
+later.
 
 Which handlers may start over an innermost frame of handler h is fixed per
 h: under interrupt semantics those of strictly higher priority, under thread
@@ -108,6 +124,7 @@ class OracleConfig:
     max_invocations: int = 1
     unroll: int = 2
     track_flows: bool = False
+    distinct_writers: bool = True
     record_traces: bool = False
     record_assert_values: bool = False
     max_executions: int = 500_000
@@ -177,7 +194,14 @@ class _Enumerator:
         self.priorities = [h.priority for h in program.handlers]
         self.gnames = list(program.global_names())
         self.gidx = {name: i for i, name in enumerate(self.gnames)}
-        self.table = [self._rows(g) for g in self.cfgs]
+        # a bit no handler owns, set in every mask of live handlers
+        self.always = 1 << len(self.cfgs)
+        # the globals each handler reads and writes, by index
+        self.uses = [({self.gidx[name] for ins in g.instr for name in node_global_reads(ins)},
+                      {self.gidx[name] for name in map(node_global_write, g.instr)
+                       if name is not None})
+                     for g in self.cfgs]
+        self.table = [self._rows(h, g) for h, g in enumerate(self.cfgs)]
         # (handler index, entry index) of every handler, and of those that may start over
         # an innermost frame of handler h; each graph's entry is its node 0
         self.starts = tuple((h, 0) for h in range(len(self.cfgs)))
@@ -192,8 +216,8 @@ class _Enumerator:
         self.executions = 0
         self.truncated = False
 
-    def _rows(self, g: Cfg) -> tuple[tuple, ...]:
-        """The step table of one handler: row i describes the node of index i."""
+    def _rows(self, h: int, g: Cfg) -> tuple[tuple, ...]:
+        """The step table of handler h: row i describes the node of index i."""
         rows = []
         for i, (n, ins) in enumerate(zip(g.nodes, g.instr)):
             if n == g.exit:
@@ -208,10 +232,21 @@ class _Enumerator:
                           for s in g.succs[i])
             reads = tuple(self.gidx[name] for name in node_global_reads(ins))
             written = node_global_write(ins)
-            local_only = not reads and written is None and kind != _ASSERT
             target = self.gidx[written] if written is not None else -1
-            rows.append((kind, ev, steps, reads, local_only, n, target, ins))
+            rows.append((kind, ev, steps, reads, self._conflicts(h, kind, reads, target),
+                         n, target, ins))
         return tuple(rows)
+
+    def _conflicts(self, h: int, kind: int, reads: tuple[int, ...], target: int) -> int:
+        """The conflict mask of a step of handler h; see the module docstring."""
+        if not self.interrupt:
+            return 0 if not reads and target < 0 and kind != _ASSERT else self.always
+        mask = 0
+        for h2, (read2, written2) in enumerate(self.uses):
+            if self.priorities[h2] > self.priorities[h] and (
+                    target in read2 or target in written2 or not written2.isdisjoint(reads)):
+                mask |= 1 << h2
+        return mask
 
     def _record_reads(self, node: NodeId, reads: tuple[int, ...], writers: tuple) -> None:
         for i in reads:
@@ -244,6 +279,9 @@ class _Enumerator:
                 tuple(None for _ in self.gnames), initial_budgets)
         table, preempt, starts, gidx = self.table, self.preempt, self.starts, self.gidx
         interrupt, unroll, track_flows = self.interrupt, oc.unroll, oc.track_flows
+        keep_writers = track_flows or oc.distinct_writers
+        always = self.always
+        lives: dict[tuple[int, ...], int] = {}  # budgets -> mask of handlers with budget left
         record_traces, record_assert_values = oc.record_traces, oc.record_assert_values
         max_states = oc.max_states
         stack: list[tuple] = [(init, ()) if record_traces else init]
@@ -271,9 +309,13 @@ class _Enumerator:
                 ample = False
                 if not record_traces:
                     # partial-order reduction; see the module docstring
+                    live = lives.get(budgets)
+                    if live is None:
+                        live = lives[budgets] = always | sum(
+                            1 << h for h, left in enumerate(budgets) if left)
                     for idx in order:
                         h, n, _, _ = frames[idx]
-                        if table[h][n][4]:  # local-only: step this frame first, and alone
+                        if not table[h][n][4] & live:  # step this frame first, and alone
                             ample = True
                             if idx != order[0]:  # threads only: the others follow in order
                                 order = (idx, *range(idx), *range(idx + 1, len(frames)))
@@ -311,7 +353,8 @@ class _Enumerator:
                         else:
                             values = HAVOC_VALUES
                         if target >= 0:
-                            written = writers[:target] + (node,) + writers[target + 1:]
+                            written = (writers[:target] + (node,) + writers[target + 1:]
+                                       if keep_writers else writers)
                             outs = [(genv[:target] + (value,) + genv[target + 1:], written, locs)
                                     for value in values]
                         else:

@@ -276,6 +276,25 @@ def test_compare_builds_graphs_once(capsys, monkeypatch):
     assert json.loads(out)["oracle_skipped"] is False
 
 
+@pytest.mark.parametrize("command, distinct_writers", [("compare", False), ("oracle", True)])
+def test_only_oracle_keeps_the_writers(capsys, monkeypatch, command, distinct_writers):
+    # compare reads nothing but `violated`; oracle prints a writer-distinct execution count
+    import irqverify.cli as cli_mod
+
+    configs = []
+    real = cli_mod.enumerate_executions
+
+    def capture(program, config, cfgs=None):
+        configs.append(config)
+        return real(program, config, cfgs)
+
+    monkeypatch.setattr(cli_mod, "enumerate_executions", capture)
+    code, _, _ = run_cli(capsys, command, str(corpus_path("three_priorities")))
+    assert code == 0
+    (config,) = configs
+    assert config.distinct_writers is distinct_writers and config.track_flows is False
+
+
 def test_oracle_ceiling_exit_two(capsys, monkeypatch):
     import irqverify.cli as cli_mod
     from irqverify import OracleLimitError

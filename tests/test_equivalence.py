@@ -6,6 +6,10 @@ subcommand run on the 8 corpus programs and on the progen programs of seeds
 lazy, the `--dump-cfg --dump-facts` one before dominance became per-node
 bitmasks, and the text `compare` one before its `pairs:` line was shared with
 `analyze`; a refactor of the analysis must leave all of them unchanged.
+The three `oracle` digests were recorded before the oracle's ample sets
+checked which handlers may still preempt, and before `compare` dropped the
+writers from its states; `oracle` must still print the flows and the
+execution count of writer-distinct end states.
 
 CLI output shows verdicts, not node states, so `STATES_PINNED` pins what
 `analyze` computes: the sha256 over the report and every node's state, on the
@@ -47,6 +51,12 @@ PINNED = {
         "95ac6bb7355f98802ef628ad58ae00d792942086a66aa4a94e90aa6da9687cdb",
     ("compare",):
         "6f59e2fccf640dd39afcba75afd69e51d738eb18b24c948cb55d38fe3c8961f7",
+    ("oracle",):
+        "abd6d2fd8629a62299c3d354167ef3c2e47f387269c5d8957a788e326cee68b3",
+    ("oracle", "--track-flows"):
+        "1330b3a2553860549daf9d3b8f50d3025e0979129c9a8c9514d1b1cf8636d5b6",
+    ("oracle", "--oracle-budget", "2"):
+        "b9d03b36f7038280af69408ee0a2f354318d821145a379602ed3a0b8b90935ac",
 }
 
 

@@ -204,6 +204,31 @@ def test_reduction_keeps_invocations_at_a_dead_end_step(enumerate_fn):
     assert (NodeId("hi", 1), "x", 3) in result.assert_values
 
 
+def test_a_store_conflicts_with_a_handler_that_only_reads_it():
+    # `hi` writes nothing, but it may read x between the two stores of `lo`,
+    # so neither store may step alone while `hi` has budget left
+    p = parse_program(
+        "global x = 0;"
+        "handler lo priority 0 { x = 1; x = 2; }"
+        "handler hi priority 1 { assert(x >= 0); }"
+    )
+    result = enumerate_executions(p, OracleConfig(max_invocations=1, track_flows=True))
+    assert {(load, store) for load, store, _ in result.flows} == {
+        (NodeId("hi", 1), NodeId("lo", 1)), (NodeId("hi", 1), NodeId("lo", 2))}
+
+
+def test_threads_interleave_live_frames_after_every_budget_is_spent():
+    # `b` sees x == 1 only if it starts, and so spends the last budget, while
+    # `a` sits between its stores; from there both frames must still interleave
+    p = parse_program(
+        "global x = 0;"
+        "handler a priority 0 { x = 1; x = 0; }"
+        "handler b priority 0 { assert(x == 0); }"
+    )
+    assert "b#0" in thread_enumerate(p, OracleConfig(max_invocations=1)).violated
+    assert "b#0" not in enumerate_executions(p, OracleConfig(max_invocations=1)).violated
+
+
 @pytest.mark.parametrize("enumerate_fn", [enumerate_executions, thread_enumerate])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_search_restores_the_callers_gc_setting(enumerate_fn, enabled):

@@ -19,10 +19,13 @@ unreduced thread search of `branch_overwrites` at budget 2 alone takes about
 15 s. With traces recorded there is no partial-order reduction and the traces
 must be the same too; but the search under test then merges paths that reach
 one state with one trace, so its execution count is that of distinct (end
-state, trace) pairs, at most the copy's count of paths. The explored-state counts are pinned: `max_states` counts states,
-so an encoding that merged or split states would move them. The evaluators
-the step table compiles are checked against the copy's `_eval` and
-`_eval_cmp` on every row of progen seeds 0-199. The copy builds its graphs
+state, trace) pairs, at most the copy's count of paths. The explored-state
+counts are pinned: `max_states` counts states, so an encoding that merged or
+split states would move them. The writer-free search that `compare` runs
+must find the copy's violations and truncation on the corpus at budgets 1-2
+and on progen seeds 0-199, with at most the copy's execution count. The
+evaluators the step table compiles are checked against the copy's `_eval`
+and `_eval_cmp` on every row of progen seeds 0-199. The copy builds its graphs
 with the NodeId-keyed lowering of `cfg_reference`, so it shares no graph code
 with the search either.
 """
@@ -396,22 +399,49 @@ def test_state_ceiling_counts_reduced_states():
         p, OracleConfig(max_invocations=2, unroll=2), True).run()
 
 
-def test_explored_state_counts_are_pinned():
-    # 900 and 2,784 were measured with the NamedTuple-state enumerator these
-    # replace, 321 and 2,639 with the step-table search; `loop_store_overwrite`
-    # has a `while (*)` and `branch_overwrites` branches, so both step through
-    # `assume(*)` and join `skip` nodes under interrupt semantics
-    for name, count in [("three_priorities", 900), ("loop_store_overwrite", 321),
-                        ("branch_overwrites", 2_639)]:
-        p = load_corpus(name)
-        enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2, max_states=count))
-        with pytest.raises(OracleLimitError):
-            enumerate_executions(p, OracleConfig(max_invocations=2, unroll=2,
-                                                 max_states=count - 1))
-    p = load_corpus("loop_store_overwrite")
-    thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_784))
+def _explored_states(enumerate_fn, program, count, **options):
+    """Assert that the search explores exactly `count` states at budget 2."""
+    enumerate_fn(program, OracleConfig(max_invocations=2, unroll=2, max_states=count, **options))
     with pytest.raises(OracleLimitError):
-        thread_enumerate(p, OracleConfig(max_invocations=2, unroll=2, max_states=2_783))
+        enumerate_fn(program, OracleConfig(max_invocations=2, unroll=2, max_states=count - 1,
+                                           **options))
+
+
+def test_explored_state_counts_are_pinned():
+    # Measured with the conflict masks: a step alone when no handler that may
+    # still preempt it conflicts with it. Before them, when only local-only
+    # nodes stepped alone, the counts were 900, 321, 2,639 and 2,784.
+    # `loop_store_overwrite` has a `while (*)` and `branch_overwrites`
+    # branches, so both step through `assume(*)` and join `skip` nodes under
+    # interrupt semantics. Without writers (what `compare` explores), states
+    # that differ only in who wrote a global are one.
+    for name, count, writer_free in [("three_priorities", 660, 660),
+                                     ("loop_store_overwrite", 245, 183),
+                                     ("branch_overwrites", 2_559, 2_003)]:
+        p = load_corpus(name)
+        _explored_states(enumerate_executions, p, count)
+        _explored_states(enumerate_executions, p, writer_free, distinct_writers=False)
+    _explored_states(thread_enumerate, load_corpus("loop_store_overwrite"), 2_784)
+
+
+def _check_writer_free(program, budget, label):
+    want = _Unreduced(program, OracleConfig(max_invocations=budget, unroll=2), True).run()
+    got = enumerate_executions(program, OracleConfig(max_invocations=budget, unroll=2,
+                                                     distinct_writers=False))
+    assert (got.violated, got.truncated) == (want.violated, want.truncated), label
+    assert 0 < got.executions <= want.executions, label
+
+
+def test_writer_free_search_keeps_violations_and_truncation():
+    # what `compare` runs: end states that differ only in their writers are one
+    # execution, so the count may fall, but nothing `compare` reads may change
+    for budget in (1, 2):
+        for name, p in _corpus(two_handlers_only=False):
+            _check_writer_free(p, budget, f"{name} at budget {budget}")
+    for seed in range(200):
+        rng = random.Random(seed)
+        p = random_program(rng)
+        _check_writer_free(p, oracle_budget(rng, p), f"progen seed {seed}")
 
 
 def _outcome(evaluate):
