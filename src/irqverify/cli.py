@@ -8,11 +8,12 @@ Subcommands:
 * ``compare``: analysis with and without pruning, side by side with the
   oracle; a proved assertion the oracle can violate is a fatal error.
 
-Exit codes: 0 all assertions proved (or none), 1 at least one warning,
-2 input error (including input nested too deeply to process) or ``oracle``
-exceeding its state ceiling, 3 soundness discrepancy in ``compare``, 4
-internal error (traceback, then ``error: internal error: ...`` on stderr),
-141 (128 + SIGPIPE) stdout closed by its reader (nothing on stderr).
+Exit codes: 0 all assertions proved (or none), 1 at least one warning, 2
+input error (including input nested too deeply to process) or ``oracle``
+exceeding its ceiling on explored states or on executions, 3 soundness
+discrepancy in ``compare``, 4 internal error (traceback, then ``error:
+internal error: ...`` on stderr), 141 (128 + SIGPIPE) stdout closed by its
+reader (nothing on stderr).
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .ir import Program, validate
 from .parser import ParseError, parse_file
 
 
-def enumerate_executions(program: Program, config, cfgs=None):
+def enumerate_executions(program: Program, config, built=None):
     """`oracle.enumerate_executions`, imported on first call: `analyze` and `facts` never load the oracle."""
     from . import oracle
-    return oracle.enumerate_executions(program, config, cfgs)
+    return oracle.enumerate_executions(program, config, built)
 
 
 def _load(path: str) -> Program:
@@ -128,11 +129,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
                                  distinct_writers=False)
     prepared = prepare(program)
+    facts = prepared[0]
     memo = {}  # shared: a handler whose admitted hulls pruning leaves unchanged is solved once
     pruned = analyze(program, config, prepared, memo)
     plain = analyze(program, replace(config, pruning=False), prepared, memo)
     try:
-        oracle_result = enumerate_executions(program, oracle_config, [f.graph for f in prepared[0]])
+        # the facts records carry the graphs and the access facts that the oracle reads
+        oracle_result = enumerate_executions(program, oracle_config,
+                                             ([f.graph for f in facts], facts))
         violated = oracle_result.violated
         oracle_skipped = False
     except OracleLimitError:

@@ -18,17 +18,35 @@ index, node index, locals, loops)`, with locals as sorted `(name, value)`
 pairs and loops as sorted `(loop head index, iterations)` pairs. Under
 interrupt semantics the frames are the activation stack, innermost last;
 under thread semantics their order carries no meaning, so they are kept
-sorted and equal states compare equal. Each handler has a step table, built
-once from its graph: row i, for the node of index i, is the tuple
+sorted and equal states compare equal.
+
+A frame rests only at a visible node. An invisible node is a `Skip` or an
+`assume(*)` that is neither a loop head, a loop's exit arm nor the exit, and
+has no back edge out: the entry, the branch joins, and the arms of `if (*)`
+and the body arm of `while (*)`. Its step is always enabled, reads and
+writes nothing and is never traced, so the step that reaches it goes on to
+the nearest visible nodes in that same step (Lipton's reduction, done
+statically). Loop heads stay, because the step into a head carries the loop
+count; so do exit arms, whose step drops it. A step into the exit pops the
+frame in that same step. Each handler has a step table, built once from its
+graph: row i, for the node of index i, is the tuple
 - the instruction kind;
 - its evaluator: the expression of an assignment, or the condition of an
   assumption or assertion (None for `*`), compiled into a function of
   `(global_env, locals)` that reads globals by index;
-- its successor steps as `(successor index, is back edge, index of the loop
-  head it exits or -1)`;
+- its successor steps as `(target index, is back edge, index of the loop
+  head it exits or -1)`, where a target is the nearest visible node on each
+  out-edge, or -1 for the exit, listed once each (`if (*) {} else {}`
+  reaches its join over both arms);
 - the indices of the globals it reads, and its conflict mask (see below);
 - its `NodeId`, which is what flows, traces and assertion values report;
 - the index of the global it writes, or -1; and the instruction.
+Forward edges go up in node index and back edges end at loop heads, so the
+targets are computed in one descending pass, without recursion. The starts
+of a handler are its entry's targets: a handler whose first statement
+branches starts at either arm, and an empty handler returns as it starts.
+The globals a node reads and writes are the `loads` and `store` of the
+access facts (`cfg.access_info`), taken as given when the caller has them.
 
 `_search` is the one stepping loop, for both semantics. It pops a stack
 item, steps each frame that may move (or the ample frame alone, see below)
@@ -46,17 +64,23 @@ with budget left can run, and budgets only fall. So when the mask shares no
 bit with `live`, the mask of the handlers with budget left, the step
 commutes with everything that could run before it, and that frame steps
 alone. Under thread semantics the mask is 0 at a local-only node, one that
-reads no global, writes no global and is not an assertion (the synthetic
-exit and the join skips are local-only). Anywhere else it is the bit
-`always`, which no handler owns and `live` always carries. The first frame
-in frame order whose mask is clear steps alone. The guard: the reduction
-applies only when that step has at least one successor. A dead-end step,
-such as a loop body's last node whose back edge exceeds the unroll bound,
-ends the path, and the invocations offered at that state are then the only
-way on. The state graph is acyclic (budgets fall and loop counts are
-bounded), so no cycle proviso is needed. The reduction keeps every
-violation, flow, assertion value, truncation and distinct end state; it
-only explores fewer states on the way.
+reads no global, writes no global and is not an assertion (a loop head, for
+one). Anywhere else it is the bit `always`, which no handler owns and
+`live` always carries. The first frame in frame order whose mask is clear
+steps alone. The guard: the reduction applies only when that step has at
+least one successor. A dead-end step, such as a loop body's last node whose
+back edge exceeds the unroll bound, ends the path, and the invocations
+offered at that state are then the only way on. The state graph is acyclic
+(budgets fall and loop counts are bounded), so no cycle proviso is needed.
+The reduction keeps every violation, flow, assertion value, truncation and
+distinct end state; it only explores fewer states on the way.
+
+Skipping invisible nodes is sound beside it: the reduction stepped each
+invisible node alone anyway, and that step always has a successor, so the
+search follows the same paths and only leaves out the states in between.
+With traces recorded, a handler that would have run while a frame rested at
+an invisible node runs while it rests at the next visible node instead, to
+the same trace and state; the exit likewise.
 
 Writers feed only flows and the execution count, which counts distinct end
 states. With neither `track_flows` nor `distinct_writers` (the configuration
@@ -90,7 +114,7 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .cfg import Cfg, NodeId, build_cfg, node_global_reads, node_global_write
+from .cfg import AccessInfo, Cfg, NodeId, build_all
 from .ir import (
     Add,
     Assert,
@@ -144,9 +168,9 @@ class OracleResult(NamedTuple):
     assert_values: frozenset[tuple[NodeId, str, int]] | None = None
 
 
-# Instruction kinds of a step-table row; the exit node gets its own kind, and a jump
-# is a skip or an assumption. The last three are the nodes a trace lists.
-_EXIT, _JUMP, _ASSERT, _ASSIGN, _HAVOC = range(5)
+# Instruction kinds of a step-table row; a jump is a skip or an assumption. The last
+# three are the nodes a trace lists.
+_JUMP, _ASSERT, _ASSIGN, _HAVOC = range(4)
 _KINDS = {Skip: _JUMP, Assume: _JUMP, Assert: _ASSERT, Assign: _ASSIGN, Havoc: _HAVOC}
 
 _CMP = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -184,27 +208,56 @@ def _compile(e: Expr | Cmp, gidx: dict[str, int]) -> Callable[[tuple, tuple], in
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _targets(g: Cfg) -> list[tuple[tuple[int, bool, int], ...]]:
+    """Per node, by index: its successor steps to the nearest visible nodes, -1 for the exit.
+
+    A forward edge goes up in node index and a back edge ends at a loop head, which is
+    visible, so a descending pass finds every invisible successor's targets computed.
+    """
+    last = len(g.nodes) - 1
+    stays = g.loop_heads | g.loop_exits.keys() | {s for s, _ in g.back_edges} | {last}
+    invisible = [i not in stays and (type(ins) is Skip
+                                     or (type(ins) is Assume and type(ins.cond) is Nondet))
+                 for i, ins in enumerate(g.instr)]
+    targets: list[tuple[tuple[int, bool, int], ...]] = [()] * len(g.nodes)
+    for i in range(last, -1, -1):
+        steps: dict[tuple[int, bool, int], None] = {}  # ordered, each step once
+        for s in g.succs[i]:
+            if invisible[s]:
+                steps.update(dict.fromkeys(targets[s]))
+            else:
+                steps[(-1 if s == last else s, (i, s) in g.back_edges,
+                       g.loop_exits.get(s, -1))] = None
+        targets[i] = tuple(steps)
+    return targets
+
+
 class _Enumerator:
     def __init__(self, program: Program, oc: OracleConfig, interrupt: bool,
-                 cfgs: list[Cfg] | None = None):
+                 built: tuple[list[Cfg], list[AccessInfo]] | None = None):
         self.program = program
         self.oc = oc
         self.interrupt = interrupt
-        self.cfgs = cfgs if cfgs is not None else [build_cfg(h) for h in program.handlers]
+        self.cfgs, infos = built if built is not None else build_all(program)
         self.priorities = [h.priority for h in program.handlers]
         self.gnames = list(program.global_names())
         self.gidx = {name: i for i, name in enumerate(self.gnames)}
         # a bit no handler owns, set in every mask of live handlers
         self.always = 1 << len(self.cfgs)
-        # the globals each handler reads and writes, by index
-        self.uses = [({self.gidx[name] for ins in g.instr for name in node_global_reads(ins)},
-                      {self.gidx[name] for name in map(node_global_write, g.instr)
-                       if name is not None})
-                     for g in self.cfgs]
-        self.table = [self._rows(h, g) for h, g in enumerate(self.cfgs)]
-        # (handler index, entry index) of every handler, and of those that may start over
-        # an innermost frame of handler h; each graph's entry is its node 0
-        self.starts = tuple((h, 0) for h in range(len(self.cfgs)))
+        # per handler and node, by index, the globals the node reads and the one it writes
+        reads = [[tuple(self.gidx[name] for name in loads) for loads in info.loads]
+                 for info in infos]
+        writes = [[-1 if name is None else self.gidx[name] for name in info.store]
+                  for info in infos]
+        # the globals each handler reads and writes
+        self.uses = [({i for node in r for i in node}, {i for i in w if i >= 0})
+                     for r, w in zip(reads, writes)]
+        targets = [_targets(g) for g in self.cfgs]
+        self.table = [self._rows(h, g, targets[h], reads[h], writes[h])
+                      for h, g in enumerate(self.cfgs)]
+        # per handler, the nodes it may start at: the entry's (node 0's) targets
+        self.starts = tuple((h, tuple(s for s, _, _ in t[0])) for h, t in enumerate(targets))
+        # the handlers, with their starts, that may start over an innermost frame of handler h
         self.preempt = [tuple(s for s in self.starts
                               if not interrupt or self.priorities[s[0]] > pr)
                         for pr in self.priorities]
@@ -216,25 +269,18 @@ class _Enumerator:
         self.executions = 0
         self.truncated = False
 
-    def _rows(self, h: int, g: Cfg) -> tuple[tuple, ...]:
+    def _rows(self, h: int, g: Cfg, targets: list[tuple], reads: list[tuple[int, ...]],
+              writes: list[int]) -> tuple[tuple, ...]:
         """The step table of handler h: row i describes the node of index i."""
         rows = []
         for i, (n, ins) in enumerate(zip(g.nodes, g.instr)):
-            if n == g.exit:
-                kind = _EXIT
-            elif type(ins) in _KINDS:
-                kind = _KINDS[type(ins)]
-            else:
+            if type(ins) not in _KINDS:
                 raise TypeError(f"not executable: {ins!r}")
+            kind = _KINDS[type(ins)]
             source = ins.expr if kind == _ASSIGN else getattr(ins, "cond", NONDET)
             ev = None if type(source) is Nondet else _compile(source, self.gidx)
-            steps = tuple((s, (i, s) in g.back_edges, g.loop_exits.get(s, -1))
-                          for s in g.succs[i])
-            reads = tuple(self.gidx[name] for name in node_global_reads(ins))
-            written = node_global_write(ins)
-            target = self.gidx[written] if written is not None else -1
-            rows.append((kind, ev, steps, reads, self._conflicts(h, kind, reads, target),
-                         n, target, ins))
+            rows.append((kind, ev, targets[i], reads[i],
+                         self._conflicts(h, kind, reads[i], writes[i]), n, writes[i], ins))
         return tuple(rows)
 
     def _conflicts(self, h: int, kind: int, reads: tuple[int, ...], target: int) -> int:
@@ -325,12 +371,7 @@ class _Enumerator:
                     h, n, locs, loops = frames[idx]
                     kind, ev, steps, reads, _, node, target, ins = table[h][n]
                     rest = frames[:idx] if interrupt else frames[:idx] + frames[idx + 1:]
-                    if kind == _EXIT:
-                        # removing a frame keeps the thread-semantics order canonical
-                        done = (rest, genv, writers, budgets)
-                        push((done, trace) if record_traces else done)
-                        outs = ()
-                    elif kind == _JUMP:
+                    if kind == _JUMP:
                         outs = ((genv, writers, locs),) if ev is None or ev(genv, locs) else ()
                         if outs and track_flows:
                             self._record_reads(node, reads, writers)
@@ -365,6 +406,12 @@ class _Enumerator:
                     next_trace = trace + (node,) if record_traces and kind >= _ASSERT else trace
                     for genv2, writers2, locs2 in outs:
                         for succ, back, exited in steps:
+                            if succ < 0:
+                                # a step into the exit returns; removing a frame keeps the
+                                # thread-semantics order canonical
+                                done = (rest, genv2, writers2, budgets)
+                                push((done, next_trace) if record_traces else done)
+                                continue
                             moved = loops
                             if back:
                                 count = 1 + next((c for head, c in loops if head == succ), 0)
@@ -398,25 +445,29 @@ class _Enumerator:
                     raise OracleLimitError(f"exceeded {oc.max_executions} explored executions")
                 if record_traces:
                     self.traces.add(trace)
-            # start each handler that may run now and has budget left
-            for h, entry in (preempt[frames[-1][0]] if frames else starts):
+            # start each handler that may run now and has budget left, at each of its starts
+            for h, entries in (preempt[frames[-1][0]] if frames else starts):
                 left = budgets[h]
                 if not left:
                     continue
-                frame = (h, entry, (), ())
-                if interrupt:
-                    # the inductive step of: the stack is strictly increasing in priority
-                    assert not frames or self.priorities[h] > self.priorities[frames[-1][0]], \
-                        "activation stack must be strictly increasing in priority"
-                    new_frames = frames + (frame,)
-                else:
-                    new_frames = tuple(sorted(frames + (frame,)))
-                nxt = (new_frames, genv, writers, budgets[:h] + (left - 1,) + budgets[h + 1:])
-                push((nxt, trace) if record_traces else nxt)
+                spent = budgets[:h] + (left - 1,) + budgets[h + 1:]
+                for entry in entries:
+                    if entry < 0:
+                        # an empty handler returns as it starts
+                        new_frames = frames
+                    elif interrupt:
+                        # the inductive step of: the stack is strictly increasing in priority
+                        assert not frames or self.priorities[h] > self.priorities[frames[-1][0]], \
+                            "activation stack must be strictly increasing in priority"
+                        new_frames = frames + ((h, entry, (), ()),)
+                    else:
+                        new_frames = tuple(sorted(frames + ((h, entry, (), ()),)))
+                    nxt = (new_frames, genv, writers, spent)
+                    push((nxt, trace) if record_traces else nxt)
 
 
 def enumerate_executions(program: Program, config: OracleConfig,
-                         cfgs: list[Cfg] | None = None) -> OracleResult:
+                         built: tuple[list[Cfg], list[AccessInfo]] | None = None) -> OracleResult:
     """Depth-first enumeration of all bounded interrupt-semantics executions.
 
     At every point either the innermost active handler executes one
@@ -424,11 +475,13 @@ def enumerate_executions(program: Program, config: OracleConfig,
     priority than everything active is invoked; when the stack is empty any
     budgeted handler may start, or the execution may end. Nondeterministic
     conditions explore both branches; loops beyond the unroll bound truncate
-    their path and set the `truncated` flag. `cfgs` are the program's graphs
-    in handler order (the `graph` of each record of `prepare(program)[0]`);
-    they are built here when omitted.
+    their path and set the `truncated` flag. `built` is `cfg.build_all(program)`:
+    the graphs in handler order and their access facts. Any records with the
+    same `loads` and `store` serve as the facts, so the `HandlerFacts` of
+    `prepare(program)[0]` pass as `([f.graph for f in facts], facts)`. They
+    are built here when omitted.
     """
-    return _Enumerator(program, config, interrupt=True, cfgs=cfgs).run()
+    return _Enumerator(program, config, interrupt=True, built=built).run()
 
 
 def thread_enumerate(program: Program, config: OracleConfig) -> OracleResult:

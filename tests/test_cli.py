@@ -244,7 +244,7 @@ def test_compare_oracle_ceiling_marks_skipped(capsys, tmp_path, monkeypatch):
     import irqverify.cli as cli_mod
     from irqverify import OracleLimitError
 
-    def boom(program, config, cfgs=None):
+    def boom(program, config, built=None):
         raise OracleLimitError("too many executions")
 
     monkeypatch.setattr(cli_mod, "enumerate_executions", boom)
@@ -267,13 +267,22 @@ def test_compare_checks_oracle_bounds_before_analyzing(capsys, monkeypatch):
 
 
 def test_compare_builds_graphs_once(capsys, monkeypatch):
-    def rebuild(handler):
-        raise AssertionError("the oracle rebuilt a graph that prepare had built")
+    # the oracle reads the graphs and the access facts that prepare computed
+    import irqverify.cfg as cfg_mod
 
-    monkeypatch.setattr("irqverify.oracle.build_cfg", rebuild)
-    code, out, _ = run_cli(capsys, "compare", "--json", str(corpus_path("three_priorities")))
+    calls = []
+    for name in ("build_cfg", "access_info"):
+        def counted(*args, real=getattr(cfg_mod, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cfg_mod, name, counted)
+    path = str(corpus_path("three_priorities"))
+    code, out, _ = run_cli(capsys, "compare", "--json", path)
     assert code == 0
     assert json.loads(out)["oracle_skipped"] is False
+    handlers = len(parse_file(path).handlers)
+    assert sorted(calls) == ["access_info"] * handlers + ["build_cfg"] * handlers
 
 
 @pytest.mark.parametrize("command, distinct_writers", [("compare", False), ("oracle", True)])
@@ -284,9 +293,9 @@ def test_only_oracle_keeps_the_writers(capsys, monkeypatch, command, distinct_wr
     configs = []
     real = cli_mod.enumerate_executions
 
-    def capture(program, config, cfgs=None):
+    def capture(program, config, built=None):
         configs.append(config)
-        return real(program, config, cfgs)
+        return real(program, config, built)
 
     monkeypatch.setattr(cli_mod, "enumerate_executions", capture)
     code, _, _ = run_cli(capsys, command, str(corpus_path("three_priorities")))
@@ -426,6 +435,17 @@ def test_input_nested_too_deeply_exits_two(command, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "irqverify", command, str(src)],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: input nests too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_long_flat_handler_exits_zero(command, tmp_path):
+    # 5,000 statements in a row nest nothing; the oracle's step table must go
+    # on over the skips without recursion
+    src = tmp_path / "flat.irq"
+    src.write_text("global x = 0; handler h priority 0 { " + "skip; " * 5000 + "}\n")
+    proc = subprocess.run([sys.executable, "-m", "irqverify", command, str(src)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,12 @@ from irqverify import (
 )
 from irqverify.analyzer import analyze
 from irqverify.cfg import build_all
+from irqverify.ir import Assume, Nondet, Skip
+from irqverify.oracle import _Enumerator
 
-from conftest import load_corpus
+from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
+from test_oracle_reference import INVISIBLE_NODE_SHAPES
 
 
 def first_action(program, handler):
@@ -227,6 +230,60 @@ def test_threads_interleave_live_frames_after_every_budget_is_spent():
     )
     assert "b#0" in thread_enumerate(p, OracleConfig(max_invocations=1)).violated
     assert "b#0" not in enumerate_executions(p, OracleConfig(max_invocations=1)).violated
+
+
+def _nearest_visible(g, i, invisible):
+    """The nodes reached from node i's successors over invisible nodes only, by a walk."""
+    found, todo, walked = set(), list(g.succs[i]), set()
+    while todo:
+        n = todo.pop()
+        if n not in walked:
+            walked.add(n)
+            if n in invisible:
+                todo.extend(g.succs[n])
+            else:
+                found.add(n)
+    return found
+
+
+def test_step_targets_are_the_nearest_visible_nodes():
+    # Every row's targets and every handler's starts are the nearest visible
+    # nodes (-1 for the exit), each listed once, with the flags of the edge
+    # into them; no target and no start is an invisible node.
+    programs = ([load_corpus(name) for name in CORPUS_NAMES]
+                + [parse_program(text) for text in INVISIBLE_NODE_SHAPES.values()]
+                + [random_program(random.Random(seed)) for seed in range(200)])
+    shapes = {"several starts": 0, "a start at the exit": 0, "a target reached twice": 0}
+    for p in programs:
+        enumerator = _Enumerator(p, OracleConfig(), interrupt=True)
+        for g, rows, (_, starts) in zip(enumerator.cfgs, enumerator.table, enumerator.starts):
+            last = len(g.nodes) - 1
+            invisible = {
+                i for i, ins in enumerate(g.instr)
+                if i != last and not any((i, s) in g.back_edges for s in g.succs[i])
+                and ((type(ins) is Skip and i not in g.loop_heads)
+                     or (type(ins) is Assume and type(ins.cond) is Nondet
+                         and i not in g.loop_exits))}
+
+            def nodes(targets):
+                found = [last if t < 0 else t for t in targets]
+                assert len(set(found)) == len(found), (g.handler, targets)
+                assert not invisible & set(found), (g.handler, targets)
+                return set(found)
+
+            for i, (_, _, steps, *_) in enumerate(rows):
+                want = _nearest_visible(g, i, invisible)
+                assert nodes(t for t, _, _ in steps) == want, (g.handler, i)
+                for t, back, exited in steps:
+                    assert back == ((i, t) in g.back_edges), (g.handler, i, t)
+                    assert exited == g.loop_exits.get(t, -1), (g.handler, i, t)
+                shapes["a target reached twice"] += len(steps) < sum(
+                    len(_nearest_visible(g, s, invisible)) if s in invisible else 1
+                    for s in g.succs[i])
+            assert nodes(starts) == _nearest_visible(g, 0, invisible), g.handler
+            shapes["several starts"] += len(starts) > 1
+            shapes["a start at the exit"] += -1 in starts
+    assert all(shapes.values()), shapes
 
 
 @pytest.mark.parametrize("enumerate_fn", [enumerate_executions, thread_enumerate])
