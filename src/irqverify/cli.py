@@ -127,7 +127,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     program = _load(args.path)
     config = AnalysisConfig(widen_delay=args.widen_delay, max_outer=args.max_iters)
     oracle_config = OracleConfig(max_invocations=args.oracle_budget, unroll=args.unroll,
-                                 distinct_writers=False)
+                                 violations_only=True)
     prepared = prepare(program)
     facts = prepared[0]
     memo = {}  # shared: a handler whose admitted hulls pruning leaves unchanged is solved once

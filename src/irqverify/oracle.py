@@ -39,6 +39,7 @@ graph: row i, for the node of index i, is the tuple
   out-edge, or -1 for the exit, listed once each (`if (*) {} else {}`
   reaches its join over both arms);
 - the indices of the globals it reads, and its conflict mask (see below);
+- the mask of the assertions reachable from the node (see below);
 - its `NodeId`, which is what flows, traces and assertion values report;
 - the index of the global it writes, or -1; and the instruction.
 Forward edges go up in node index and back edges end at loop heads, so the
@@ -82,13 +83,26 @@ With traces recorded, a handler that would have run while a frame rested at
 an invisible node runs while it rests at the next visible node instead, to
 the same trace and state; the exit likewise.
 
-Writers feed only flows and the execution count, which counts distinct end
-states. With neither `track_flows` nor `distinct_writers` (the configuration
-`compare` runs, since it reads only `violated`) the search never updates the
-slot, so states that differ only in who wrote a global are one state, and
-`executions` counts end states without their writers. Fewer states are
-explored, so the `max_executions` and `max_states` ceilings are reached
-later.
+`violations_only` is the configuration `compare` runs, since it reads only
+`violated`. Writers feed only flows and the execution count, so it never
+updates the writers slot, and states that differ only in who wrote a global
+are one state. It also drops every state from which no assertion still open
+(not yet violated) can be reached. Each assertion has a bit, in graph order,
+and each row the mask of the assertions reachable from its node in the
+handler's graph, back edges included: a descending pass, repeated until
+nothing changes, since a node late in a loop body reaches the assertions
+early in it. A handler's mask is its entry's. A popped state is dropped,
+before dedup, when the open assertions share no bit with the masks of its
+frames' nodes and of the handlers with budget left. That keeps `violated`
+as it is: every future of a state steps its frames onward or starts a
+handler that has budget now (budgets only fall), so those masks cover every
+assertion a future can fail, and the open set only shrinks. The ample-set
+choice does not read it. The initial state is explored whatever it reaches,
+so a program without assertions explores that state alone. `executions` and
+`truncated` describe only the explored part, and are at most those of the
+full search. Fewer states are explored, so the `max_executions` and
+`max_states` ceilings are reached later, and `compare` marks the oracle
+`skipped` only where the full search would have been skipped too.
 
 Which handlers may start over an innermost frame of handler h is fixed per
 h: under interrupt semantics those of strictly higher priority, under thread
@@ -148,7 +162,7 @@ class OracleConfig:
     max_invocations: int = 1
     unroll: int = 2
     track_flows: bool = False
-    distinct_writers: bool = True
+    violations_only: bool = False
     record_traces: bool = False
     record_assert_values: bool = False
     max_executions: int = 500_000
@@ -157,6 +171,9 @@ class OracleConfig:
     def __post_init__(self):
         if self.max_invocations < 1 or self.unroll < 1:
             raise ValueError("oracle bounds must be at least 1")
+        if self.violations_only and (self.track_flows or self.record_traces
+                                     or self.record_assert_values):
+            raise ValueError("violations_only records no flows, traces or assertion values")
 
 
 class OracleResult(NamedTuple):
@@ -232,6 +249,26 @@ def _targets(g: Cfg) -> list[tuple[tuple[int, bool, int], ...]]:
     return targets
 
 
+def _reachable_asserts(g: Cfg, own: list[int]) -> list[int]:
+    """Per node, by index: the union of `own` over the nodes reachable from it, itself included.
+
+    A descending pass sees every forward edge's target done, but a back edge's loop head
+    only as it was before the pass, so the pass repeats until nothing changes.
+    """
+    reach = list(own)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(reach) - 1, -1, -1):
+            mask = reach[i]
+            for s in g.succs[i]:
+                mask |= reach[s]
+            if mask != reach[i]:
+                reach[i] = mask
+                changed = True
+    return reach
+
+
 class _Enumerator:
     def __init__(self, program: Program, oc: OracleConfig, interrupt: bool,
                  built: tuple[list[Cfg], list[AccessInfo]] | None = None):
@@ -253,7 +290,12 @@ class _Enumerator:
         self.uses = [({i for node in r for i in node}, {i for i in w if i >= 0})
                      for r, w in zip(reads, writes)]
         targets = [_targets(g) for g in self.cfgs]
-        self.table = [self._rows(h, g, targets[h], reads[h], writes[h])
+        # one bit per assertion, in graph order; per node, the assertions reachable from it
+        self.assert_bits: dict[str, int] = {}
+        asserts = [_reachable_asserts(g, [
+            self.assert_bits.setdefault(ins.uid, 1 << len(self.assert_bits))
+            if type(ins) is Assert else 0 for ins in g.instr]) for g in self.cfgs]
+        self.table = [self._rows(h, g, targets[h], reads[h], writes[h], asserts[h])
                       for h, g in enumerate(self.cfgs)]
         # per handler, the nodes it may start at: the entry's (node 0's) targets
         self.starts = tuple((h, tuple(s for s, _, _ in t[0])) for h, t in enumerate(targets))
@@ -270,7 +312,7 @@ class _Enumerator:
         self.truncated = False
 
     def _rows(self, h: int, g: Cfg, targets: list[tuple], reads: list[tuple[int, ...]],
-              writes: list[int]) -> tuple[tuple, ...]:
+              writes: list[int], asserts: list[int]) -> tuple[tuple, ...]:
         """The step table of handler h: row i describes the node of index i."""
         rows = []
         for i, (n, ins) in enumerate(zip(g.nodes, g.instr)):
@@ -280,7 +322,8 @@ class _Enumerator:
             source = ins.expr if kind == _ASSIGN else getattr(ins, "cond", NONDET)
             ev = None if type(source) is Nondet else _compile(source, self.gidx)
             rows.append((kind, ev, targets[i], reads[i],
-                         self._conflicts(h, kind, reads[i], writes[i]), n, writes[i], ins))
+                         self._conflicts(h, kind, reads[i], writes[i]), asserts[i], n, writes[i],
+                         ins))
         return tuple(rows)
 
     def _conflicts(self, h: int, kind: int, reads: tuple[int, ...], target: int) -> int:
@@ -325,9 +368,21 @@ class _Enumerator:
                 tuple(None for _ in self.gnames), initial_budgets)
         table, preempt, starts, gidx = self.table, self.preempt, self.starts, self.gidx
         interrupt, unroll, track_flows = self.interrupt, oc.unroll, oc.track_flows
-        keep_writers = track_flows or oc.distinct_writers
+        violations_only, assert_bits = oc.violations_only, self.assert_bits
         always = self.always
-        lives: dict[tuple[int, ...], int] = {}  # budgets -> mask of handlers with budget left
+        # budgets -> (mask of the handlers with budget left, the assertions they reach)
+        lives: dict[tuple[int, ...], tuple[int, int]] = {}
+
+        def budgeted(budgets: tuple[int, ...]) -> tuple[int, int]:
+            live, reach = always, 0
+            for h, left in enumerate(budgets):
+                if left:
+                    live |= 1 << h
+                    reach |= table[h][0][5]
+            lives[budgets] = live, reach
+            return live, reach
+
+        open_asserts = sum(assert_bits.values())  # the assertions not yet violated
         record_traces, record_assert_values = oc.record_traces, oc.record_assert_values
         max_states = oc.max_states
         stack: list[tuple] = [(init, ()) if record_traces else init]
@@ -337,6 +392,14 @@ class _Enumerator:
         states_explored = 0
         while stack:
             item = stack.pop()
+            if violations_only and states_explored:
+                # drop a state from which no open assertion is reachable; see the module docstring
+                frames, _, _, budgets = item
+                reach = (lives.get(budgets) or budgeted(budgets))[1]
+                for h, n, _, _ in frames:
+                    reach |= table[h][n][5]
+                if not reach & open_asserts:
+                    continue
             # add-then-compare hashes the nested state once, not twice
             size = len(seen)
             seen.add(item)
@@ -355,10 +418,7 @@ class _Enumerator:
                 ample = False
                 if not record_traces:
                     # partial-order reduction; see the module docstring
-                    live = lives.get(budgets)
-                    if live is None:
-                        live = lives[budgets] = always | sum(
-                            1 << h for h, left in enumerate(budgets) if left)
+                    live = (lives.get(budgets) or budgeted(budgets))[0]
                     for idx in order:
                         h, n, _, _ = frames[idx]
                         if not table[h][n][4] & live:  # step this frame first, and alone
@@ -369,7 +429,7 @@ class _Enumerator:
                 mark = len(stack)
                 for idx in order:
                     h, n, locs, loops = frames[idx]
-                    kind, ev, steps, reads, _, node, target, ins = table[h][n]
+                    kind, ev, steps, reads, _, _, node, target, ins = table[h][n]
                     rest = frames[:idx] if interrupt else frames[:idx] + frames[idx + 1:]
                     if kind == _JUMP:
                         outs = ((genv, writers, locs),) if ev is None or ev(genv, locs) else ()
@@ -384,6 +444,7 @@ class _Enumerator:
                                 self.assert_values.add((node, v.name, value))
                         if not ev(genv, locs):
                             self.violated.add(ins.uid)
+                            open_asserts &= ~assert_bits[ins.uid]
                         outs = ((genv, writers, locs),)
                     else:
                         # an assignment or a havoc: write each value it may produce
@@ -394,8 +455,8 @@ class _Enumerator:
                         else:
                             values = HAVOC_VALUES
                         if target >= 0:
-                            written = (writers[:target] + (node,) + writers[target + 1:]
-                                       if keep_writers else writers)
+                            written = (writers if violations_only
+                                       else writers[:target] + (node,) + writers[target + 1:])
                             outs = [(genv[:target] + (value,) + genv[target + 1:], written, locs)
                                     for value in values]
                         else:

@@ -285,8 +285,8 @@ def test_compare_builds_graphs_once(capsys, monkeypatch):
     assert sorted(calls) == ["access_info"] * handlers + ["build_cfg"] * handlers
 
 
-@pytest.mark.parametrize("command, distinct_writers", [("compare", False), ("oracle", True)])
-def test_only_oracle_keeps_the_writers(capsys, monkeypatch, command, distinct_writers):
+@pytest.mark.parametrize("command, keeps_writers", [("compare", False), ("oracle", True)])
+def test_only_oracle_keeps_the_writers(capsys, monkeypatch, command, keeps_writers):
     # compare reads nothing but `violated`; oracle prints a writer-distinct execution count
     import irqverify.cli as cli_mod
 
@@ -301,7 +301,7 @@ def test_only_oracle_keeps_the_writers(capsys, monkeypatch, command, distinct_wr
     code, _, _ = run_cli(capsys, command, str(corpus_path("three_priorities")))
     assert code == 0
     (config,) = configs
-    assert config.distinct_writers is distinct_writers and config.track_flows is False
+    assert config.violations_only is not keeps_writers and config.track_flows is False
 
 
 def test_oracle_ceiling_exit_two(capsys, monkeypatch):

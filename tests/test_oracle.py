@@ -123,6 +123,14 @@ def test_execution_ceiling_raises():
         enumerate_executions(p, OracleConfig(max_invocations=2, max_executions=3))
 
 
+@pytest.mark.parametrize("option", ["track_flows", "record_traces", "record_assert_values"])
+def test_violations_only_records_nothing_else(option):
+    # the search that keeps only violations drops the states that would record the rest
+    with pytest.raises(ValueError):
+        OracleConfig(violations_only=True, **{option: True})
+    assert getattr(OracleConfig(**{option: True}), option)
+
+
 def test_nested_invocations_reach_all_three_levels():
     # the low handler's late assert can observe writes of both higher handlers
     p = parse_program(

@@ -28,9 +28,11 @@ ending in a join, nested `while (*)`) the whole result must match at budgets
 1-2 in both semantics, and the traces at unroll 1 (at budget 2 under
 interrupt semantics only). The explored-state counts are pinned:
 `max_states` counts states, so an encoding that merged or split states
-would move them. The writer-free search that `compare` runs
-must find the copy's violations and truncation on the corpus at budgets 1-2
-and on progen seeds 0-199, with at most the copy's execution count. The
+would move them. The search that `compare` runs (`violations_only`)
+must find the copy's violations on the corpus at budgets 1-2, on progen seeds
+0-199 and, in both semantics, on four shapes of assertion reach (a back edge,
+a handler with budget left, a preempted outer frame, no assertion at all),
+with at most the copy's execution count and truncation. The
 evaluators the step table compiles are checked against the copy's `_eval`
 and `_eval_cmp` on every row of progen seeds 0-199. The copy builds its graphs
 with the NodeId-keyed lowering of `cfg_reference`, so it shares no graph code
@@ -480,35 +482,77 @@ def test_explored_state_counts_are_pinned():
     # at those nodes the counts were 660/660, 245/183, 2,559/2,003 and 2,784;
     # before the conflict masks, when only local-only nodes stepped alone,
     # 900, 321, 2,639 and 2,784. `loop_store_overwrite` has a `while (*)` and
-    # `branch_overwrites` branches on `*`. Without writers (what `compare`
-    # explores), states that differ only in who wrote a global are one.
-    for name, count, writer_free in [("three_priorities", 335, 335),
-                                     ("loop_store_overwrite", 155, 121),
-                                     ("branch_overwrites", 1_035, 809)]:
+    # `branch_overwrites` branches on `*`. The search `compare` runs keeps no
+    # writers, so states that differ only in who wrote a global are one, and
+    # drops each state from which no assertion still open is reachable. Before
+    # that drop, with the writers dropped alone, its counts were 335, 121 and 809.
+    for name, count, violations_only in [("three_priorities", 335, 296),
+                                         ("loop_store_overwrite", 155, 98),
+                                         ("branch_overwrites", 1_035, 798)]:
         p = load_corpus(name)
         _explored_states(enumerate_executions, p, count)
-        _explored_states(enumerate_executions, p, writer_free, distinct_writers=False)
+        _explored_states(enumerate_executions, p, violations_only, violations_only=True)
     _explored_states(thread_enumerate, load_corpus("loop_store_overwrite"), 1_395)
 
 
-def _check_writer_free(program, budget, label):
+def _check_violations_only(program, budget, label):
     want = _Unreduced(program, OracleConfig(max_invocations=budget, unroll=2), True).run()
     got = enumerate_executions(program, OracleConfig(max_invocations=budget, unroll=2,
-                                                     distinct_writers=False))
-    assert (got.violated, got.truncated) == (want.violated, want.truncated), label
-    assert 0 < got.executions <= want.executions, label
+                                                     violations_only=True))
+    assert got.violated == want.violated, label
+    # the dropped states' end states and truncated paths are not counted
+    assert got.truncated <= want.truncated and got.executions <= want.executions, label
 
 
-def test_writer_free_search_keeps_violations_and_truncation():
-    # what `compare` runs: end states that differ only in their writers are one
-    # execution, so the count may fall, but nothing `compare` reads may change
+def test_violations_only_search_keeps_violations():
+    # what `compare` runs: it reads nothing but `violated`, which must not change
     for budget in (1, 2):
         for name, p in _corpus(two_handlers_only=False):
-            _check_writer_free(p, budget, f"{name} at budget {budget}")
+            _check_violations_only(p, budget, f"{name} at budget {budget}")
     for seed in range(200):
         rng = random.Random(seed)
         p = random_program(rng)
-        _check_writer_free(p, oracle_budget(rng, p), f"progen seed {seed}")
+        _check_violations_only(p, oracle_budget(rng, p), f"progen seed {seed}")
+
+
+# Shapes where the assertions a state can still fail are reachable only over a
+# back edge, only through a handler that has budget left, or only from a
+# preempted outer frame (see the oracle's module docstring).
+ASSERTION_REACH_SHAPES = {
+    "assertion before a store in a while (*) body, reached over the back edge":
+        "global x = 0;"
+        "handler lo priority 0 { while (*) { assert(x == 0); x = 1; } }",
+    "assertion in a higher handler that fails after a lower handler's store":
+        "global x = 0;"
+        "handler lo priority 0 { x = 1; }"
+        "handler hi priority 1 { assert(x == 0); }",
+    "assertion in a preempted outer frame, none in the innermost":
+        "global x = 0;"
+        "handler lo priority 0 { x = 1; assert(x == 1); }"
+        "handler hi priority 1 { x = 2; }",
+    "no assertions":
+        "global x = 0;"
+        "handler lo priority 0 { x = 1; }"
+        "handler hi priority 1 { x = x + 1; }",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ASSERTION_REACH_SHAPES))
+@pytest.mark.parametrize("interrupt, enumerate_fn", SEMANTICS, ids=["interrupt", "threads"])
+def test_assertion_reach_shapes_match_unreduced(shape, interrupt, enumerate_fn):
+    p = parse_program(ASSERTION_REACH_SHAPES[shape])
+    for budget in (1, 2):
+        want = _Unreduced(p, OracleConfig(max_invocations=budget, unroll=2), interrupt).run()
+        got = enumerate_fn(p, OracleConfig(max_invocations=budget, unroll=2,
+                                           violations_only=True))
+        assert got.violated == want.violated, f"{shape} at budget {budget}"
+        assert want.violated or shape == "no assertions", f"{shape} at budget {budget}"
+
+
+def test_a_program_without_assertions_explores_one_state():
+    # nothing can be violated, so the search ends at the initial state
+    p = parse_program(ASSERTION_REACH_SHAPES["no assertions"])
+    _explored_states(enumerate_executions, p, 1, violations_only=True)
 
 
 def _outcome(evaluate):
