@@ -10,15 +10,17 @@ doubles as a possible end of execution.
 
 Preemption happens only between instructions; a single instruction is atomic.
 
-A scheduler state is the plain tuple `(frames, global_env, writers,
-budgets)`: `global_env[i]` is the value of global i, `writers[i]` the
+A state of the search is the plain tuple `(frames, global_env, writers,
+budgets, trace)`: `global_env[i]` is the value of global i, `writers[i]` the
 `NodeId` of the store that wrote it (None while the initial value stands),
-and `budgets[h]` the invocations handler h has left. A frame is `(handler
-index, node index, locals, loops)`, with locals as sorted `(name, value)`
-pairs and loops as sorted `(loop head index, iterations)` pairs. Under
-interrupt semantics the frames are the activation stack, innermost last;
-under thread semantics their order carries no meaning, so they are kept
-sorted and equal states compare equal.
+`budgets[h]` the invocations handler h has left, and `trace` the traced
+nodes stepped so far, or `()` unless traces are recorded. The first four
+slots are the scheduler state. A frame is `(handler index, node index,
+locals, loops)`, with locals as sorted `(name, value)` pairs and loops as
+sorted `(loop head index, iterations)` pairs. Under interrupt semantics the
+frames are the activation stack, innermost last; under thread semantics
+their order carries no meaning, so they are kept sorted and equal states
+compare equal.
 
 A frame rests only at a visible node. An invisible node is a `Skip` or an
 `assume(*)` that is neither a loop head, a loop's exit arm nor the exit, and
@@ -49,11 +51,13 @@ branches starts at either arm, and an empty handler returns as it starts.
 The globals a node reads and writes are the `loads` and `store` of the
 access facts (`cfg.access_info`), taken as given when the caller has them.
 
-`_search` is the one stepping loop, for both semantics. It pops a stack
-item, steps each frame that may move (or the ample frame alone, see below)
-and starts each handler that may start, pushing every successor straight
-onto the stack. A stack item is the bare state, or `(state, trace so far)`
-when traces are recorded.
+`_search` is the one stepping loop, for both semantics. It pops a state,
+steps each frame that may move (or the ample frame alone, see below) and
+starts each handler that may start, pushing every successor state straight
+onto the stack. A step's flows are recorded at one site, once its outcomes
+are known, and only if it has one: a branch arm whose condition fails
+records none. A failing assertion clears its bit in the mask of the open
+assertions (see below), and `violated` is read off that mask at the end.
 
 Unless traces are recorded, the search applies static partial-order reduction
 with a singleton ample set. A node's conflict mask has a bit for each handler
@@ -108,12 +112,13 @@ Which handlers may start over an innermost frame of handler h is fixed per
 h: under interrupt semantics those of strictly higher priority, under thread
 semantics all of them; an empty stack offers every handler.
 
-The search visits each scheduler state once. With traces recorded it visits
-each (state, trace so far) pair once instead: two paths that reach the same
-state with the same trace have the same futures, so merging them loses no
-trace, violation or truncation. `executions` then counts distinct (end state,
-trace) pairs rather than paths. The order in which states are explored does
-not change what is found, as dedup visits the whole reachable set.
+The search visits each state once. Unless traces are recorded the trace slot
+is `()`, so that is each scheduler state once. With traces recorded, two
+paths that reach the same scheduler state with the same trace are one state:
+they have the same futures, so merging them loses no trace, violation or
+truncation. `executions` then counts distinct (end state, trace) pairs
+rather than paths. The order in which states are explored does not change
+what is found, as dedup visits the whole reachable set.
 
 The cyclic garbage collector is paused while the search runs and the
 caller's setting is restored after it. The search builds only acyclic tuples,
@@ -304,13 +309,6 @@ class _Enumerator:
                               if not interrupt or self.priorities[s[0]] > pr)
                         for pr in self.priorities]
 
-        self.violated: set[str] = set()
-        self.flows: set[tuple[NodeId, NodeId, str]] = set()
-        self.assert_values: set[tuple[NodeId, str, int]] = set()
-        self.traces: set[tuple[NodeId, ...]] = set()
-        self.executions = 0
-        self.truncated = False
-
     def _rows(self, h: int, g: Cfg, targets: list[tuple], reads: list[tuple[int, ...]],
               writes: list[int], asserts: list[int]) -> tuple[tuple, ...]:
         """The step table of handler h: row i describes the node of index i."""
@@ -337,39 +335,25 @@ class _Enumerator:
                 mask |= 1 << h2
         return mask
 
-    def _record_reads(self, node: NodeId, reads: tuple[int, ...], writers: tuple) -> None:
-        for i in reads:
-            w = writers[i]
-            if w is not None:
-                self.flows.add((node, w, self.gnames[i]))
-
     def run(self) -> OracleResult:
         # acyclic tuples only, freed by reference counting: collections would find no garbage
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            self._search()
+            return self._search()
         finally:
             if gc_was_enabled:
                 gc.enable()
-        return OracleResult(
-            violated=frozenset(self.violated),
-            flows=frozenset(self.flows),
-            executions=self.executions,
-            truncated=self.truncated,
-            traces=frozenset(self.traces) if self.oc.record_traces else None,
-            assert_values=frozenset(self.assert_values) if self.oc.record_assert_values else None,
-        )
 
-    def _search(self) -> None:
+    def _search(self) -> OracleResult:
         oc = self.oc
         initial_budgets = tuple(oc.max_invocations for _ in self.cfgs)
         init = ((), tuple(v for _, v in self.program.globals),
-                tuple(None for _ in self.gnames), initial_budgets)
+                tuple(None for _ in self.gnames), initial_budgets, ())
         table, preempt, starts, gidx = self.table, self.preempt, self.starts, self.gidx
         interrupt, unroll, track_flows = self.interrupt, oc.unroll, oc.track_flows
         violations_only, assert_bits = oc.violations_only, self.assert_bits
-        always = self.always
+        always, gnames = self.always, self.gnames
         # budgets -> (mask of the handlers with budget left, the assertions they reach)
         lives: dict[tuple[int, ...], tuple[int, int]] = {}
 
@@ -385,16 +369,19 @@ class _Enumerator:
         open_asserts = sum(assert_bits.values())  # the assertions not yet violated
         record_traces, record_assert_values = oc.record_traces, oc.record_assert_values
         max_states = oc.max_states
-        stack: list[tuple] = [(init, ()) if record_traces else init]
+        flows: set[tuple[NodeId, NodeId, str]] = set()
+        assert_values: set[tuple[NodeId, str, int]] = set()
+        traces: set[tuple[NodeId, ...]] = set()
+        executions, truncated = 0, False
+        stack: list[tuple] = [init]
         push = stack.append
         seen: set[tuple] = set()
-        trace: tuple[NodeId, ...] = ()
         states_explored = 0
         while stack:
-            item = stack.pop()
+            st = stack.pop()
+            frames, genv, writers, budgets, trace = st
             if violations_only and states_explored:
                 # drop a state from which no open assertion is reachable; see the module docstring
-                frames, _, _, budgets = item
                 reach = (lives.get(budgets) or budgeted(budgets))[1]
                 for h, n, _, _ in frames:
                     reach |= table[h][n][5]
@@ -402,17 +389,12 @@ class _Enumerator:
                     continue
             # add-then-compare hashes the nested state once, not twice
             size = len(seen)
-            seen.add(item)
+            seen.add(st)
             if len(seen) == size:
                 continue
             states_explored += 1
             if states_explored > max_states:
                 raise OracleLimitError(f"exceeded {max_states} explored scheduler states")
-            if record_traces:
-                st, trace = item
-            else:
-                st = item
-            frames, genv, writers, budgets = st
             if frames:
                 order = (len(frames) - 1,) if interrupt else range(len(frames))
                 ample = False
@@ -433,27 +415,16 @@ class _Enumerator:
                     rest = frames[:idx] if interrupt else frames[:idx] + frames[idx + 1:]
                     if kind == _JUMP:
                         outs = ((genv, writers, locs),) if ev is None or ev(genv, locs) else ()
-                        if outs and track_flows:
-                            self._record_reads(node, reads, writers)
                     elif kind == _ASSERT:
-                        if track_flows:
-                            self._record_reads(node, reads, writers)
                         if record_assert_values:
                             for v in set(cond_vars(ins.cond)):
-                                value = _compile(v, gidx)(genv, locs)
-                                self.assert_values.add((node, v.name, value))
+                                assert_values.add((node, v.name, _compile(v, gidx)(genv, locs)))
                         if not ev(genv, locs):
-                            self.violated.add(ins.uid)
                             open_asserts &= ~assert_bits[ins.uid]
                         outs = ((genv, writers, locs),)
                     else:
                         # an assignment or a havoc: write each value it may produce
-                        if kind == _ASSIGN:
-                            if track_flows:
-                                self._record_reads(node, reads, writers)
-                            values = (ev(genv, locs),)
-                        else:
-                            values = HAVOC_VALUES
+                        values = (ev(genv, locs),) if kind == _ASSIGN else HAVOC_VALUES
                         if target >= 0:
                             written = (writers if violations_only
                                        else writers[:target] + (node,) + writers[target + 1:])
@@ -464,20 +435,25 @@ class _Enumerator:
                             kept = [p for p in locs if p[0] != name]
                             outs = [(genv, writers, tuple(sorted(kept + [(name, value)])))
                                     for value in values]
+                    if track_flows and outs:
+                        # a step that is not taken, on a failing condition, records no flow
+                        for i in reads:
+                            w = writers[i]
+                            if w is not None:
+                                flows.add((node, w, gnames[i]))
                     next_trace = trace + (node,) if record_traces and kind >= _ASSERT else trace
                     for genv2, writers2, locs2 in outs:
                         for succ, back, exited in steps:
                             if succ < 0:
                                 # a step into the exit returns; removing a frame keeps the
                                 # thread-semantics order canonical
-                                done = (rest, genv2, writers2, budgets)
-                                push((done, next_trace) if record_traces else done)
+                                push((rest, genv2, writers2, budgets, next_trace))
                                 continue
                             moved = loops
                             if back:
                                 count = 1 + next((c for head, c in loops if head == succ), 0)
                                 if count > unroll:
-                                    self.truncated = True
+                                    truncated = True
                                     continue
                                 moved = tuple(sorted([p for p in loops if p[0] != succ]
                                                      + [(succ, count)]))
@@ -490,8 +466,7 @@ class _Enumerator:
                             else:
                                 # frame order carries no meaning under threads; keep it sorted
                                 new_frames = tuple(sorted(rest + (frame,)))
-                            nxt = (new_frames, genv2, writers2, budgets)
-                            push((nxt, next_trace) if record_traces else nxt)
+                            push((new_frames, genv2, writers2, budgets, next_trace))
                     if ample:
                         if len(stack) > mark:
                             break
@@ -501,11 +476,11 @@ class _Enumerator:
                     continue
             elif budgets != initial_budgets:
                 # Stack is empty: stopping here is a complete execution.
-                self.executions += 1
-                if self.executions > oc.max_executions:
+                executions += 1
+                if executions > oc.max_executions:
                     raise OracleLimitError(f"exceeded {oc.max_executions} explored executions")
                 if record_traces:
-                    self.traces.add(trace)
+                    traces.add(trace)
             # start each handler that may run now and has budget left, at each of its starts
             for h, entries in (preempt[frames[-1][0]] if frames else starts):
                 left = budgets[h]
@@ -523,8 +498,15 @@ class _Enumerator:
                         new_frames = frames + ((h, entry, (), ()),)
                     else:
                         new_frames = tuple(sorted(frames + ((h, entry, (), ()),)))
-                    nxt = (new_frames, genv, writers, spent)
-                    push((nxt, trace) if record_traces else nxt)
+                    push((new_frames, genv, writers, spent, trace))
+        return OracleResult(
+            violated=frozenset(uid for uid, bit in assert_bits.items() if not bit & open_asserts),
+            flows=frozenset(flows),
+            executions=executions,
+            truncated=truncated,
+            traces=frozenset(traces) if record_traces else None,
+            assert_values=frozenset(assert_values) if record_assert_values else None,
+        )
 
 
 def enumerate_executions(program: Program, config: OracleConfig,

@@ -89,6 +89,19 @@ def test_flows_from_initial_values_are_not_pairs():
     assert result.flows == frozenset()
 
 
+@pytest.mark.parametrize("enumerate_fn", [enumerate_executions, thread_enumerate])
+def test_a_failing_branch_condition_records_no_flow(enumerate_fn):
+    # `lo` reads x at both arms' conditions, but only the arm whose condition
+    # holds steps, so only that read is a flow
+    p = parse_program(
+        "global x = 0;"
+        "handler lo priority 0 { if (x == 5) { skip; } else { skip; } }"
+        "handler hi priority 1 { x = 1; }"
+    )
+    result = enumerate_fn(p, OracleConfig(max_invocations=1, track_flows=True))
+    assert result.flows == {(NodeId("lo", 2), NodeId("hi", 1), "x")}
+
+
 def test_branch_both_arms_explored_and_dead_arm_pruned():
     p = parse_program(
         "global x = 0; global y = 0;"
