@@ -40,7 +40,6 @@ node that is exactly the state its condition is checked against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cfg import Cfg, build_all
@@ -59,17 +58,16 @@ from .ir import Assert, Program
 LocalMemo = dict[tuple, list[AbstractState]]
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    pruning: bool = True
-    widen_delay: int = 2
-    max_outer: int = 10
+class AnalysisConfig(NamedTuple("AnalysisConfig", [("pruning", bool), ("widen_delay", int),
+                                                     ("max_outer", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_outer < 1:
+    def __new__(cls, pruning: bool = True, widen_delay: int = 2, max_outer: int = 10):
+        if max_outer < 1:
             raise ValueError("max outer iterations must be at least 1")
-        if self.widen_delay < 1:
+        if widen_delay < 1:
             raise ValueError("widening delay must be at least 1")
+        return tuple.__new__(cls, (pruning, widen_delay, max_outer))
 
 
 class VerdictEntry(NamedTuple):

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import replace
 
 from .analyzer import AnalysisConfig, AnalysisReport, analyze, prepare
 from .cfg import dump_cfg
@@ -132,7 +131,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     facts = prepared[0]
     memo = {}  # shared: a handler whose admitted hulls pruning leaves unchanged is solved once
     pruned = analyze(program, config, prepared, memo)
-    plain = analyze(program, replace(config, pruning=False), prepared, memo)
+    plain = analyze(program, config._replace(pruning=False), prepared, memo)
     try:
         # the facts records carry the graphs and the access facts that the oracle reads
         oracle_result = enumerate_executions(program, oracle_config,

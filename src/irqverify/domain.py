@@ -9,8 +9,7 @@ instead, and binding None to a variable collapses the state to bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .ir import (
     Add,
@@ -38,16 +37,15 @@ def _badd(a: Bound, b: Bound) -> Bound:
     return None if a is None or b is None else a + b
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple("Interval", [("lo", Bound), ("hi", Bound)])):
     """Non-empty integer interval [lo, hi]; lo=None means -inf, hi=None means +inf."""
 
-    lo: Bound
-    hi: Bound
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: Bound, hi: Bound):
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     @staticmethod
     def const(value: int) -> "Interval":

@@ -130,7 +130,6 @@ from __future__ import annotations
 
 import gc
 import operator
-from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .cfg import AccessInfo, Cfg, NodeId, build_all
@@ -162,8 +161,7 @@ class OracleLimitError(RuntimeError):
     """Raised when enumeration exceeds a configured resource ceiling."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class _OracleFields(NamedTuple):
     max_invocations: int = 1
     unroll: int = 2
     track_flows: bool = False
@@ -173,12 +171,18 @@ class OracleConfig:
     max_executions: int = 500_000
     max_states: int = 3_000_000
 
-    def __post_init__(self):
+
+class OracleConfig(_OracleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_invocations < 1 or self.unroll < 1:
             raise ValueError("oracle bounds must be at least 1")
         if self.violations_only and (self.track_flows or self.record_traces
                                      or self.record_assert_values):
             raise ValueError("violations_only records no flows, traces or assertion values")
+        return self
 
 
 class OracleResult(NamedTuple):
@@ -539,7 +543,7 @@ def thread_enumerate(program: Program, config: OracleConfig) -> OracleResult:
 def collect_traces(program: Program, config: OracleConfig, *, threads: bool = False
                    ) -> frozenset[tuple[NodeId, ...]]:
     """Complete-execution traces (assignment/havoc/assert nodes, in order)."""
-    cfg = replace(config, record_traces=True)
+    cfg = OracleConfig(*config._replace(record_traces=True))  # `_replace` skips the checks
     result = thread_enumerate(program, cfg) if threads else enumerate_executions(program, cfg)
     assert result.traces is not None
     return result.traces

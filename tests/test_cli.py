@@ -79,11 +79,18 @@ def test_analyze_missing_file_exit_two(capsys):
     assert "error" in err
 
 
-def test_analyze_bad_config_exit_two(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--max-iters", "0",
-                           str(corpus_path("three_priorities")))
-    assert code == 2
-    assert "error" in err
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--max-iters", "0"], "max outer iterations must be at least 1"),
+    (["analyze", "--widen-delay", "0"], "widening delay must be at least 1"),
+    (["compare", "--widen-delay", "0"], "widening delay must be at least 1"),
+    (["oracle", "--oracle-budget", "0"], "oracle bounds must be at least 1"),
+    (["oracle", "--unroll", "0"], "oracle bounds must be at least 1"),
+], ids=["analyze-max-iters", "analyze-widen-delay", "compare-widen-delay", "oracle-budget",
+        "oracle-unroll"])
+def test_analyze_bad_config_exit_two(capsys, argv, message):
+    # each config record rejects its own bound when built, and the CLI reports that text
+    code, out, err = run_cli(capsys, *argv, str(corpus_path("three_priorities")))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
@@ -374,7 +381,8 @@ _RUN_AND_LIST_ORACLE = """
 import sys
 from irqverify.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print("oracle loaded:", "irqverify.oracle" in sys.modules, "exit:", code)
+print("oracle loaded:", "irqverify.oracle" in sys.modules,
+      "dataclasses loaded:", "dataclasses" in sys.modules, "exit:", code)
 """
 
 
@@ -393,7 +401,7 @@ def _run_in_fresh_process(*argv):
     (["facts", str(corpus_path("three_priorities"))], 0),
 ])
 def test_import_analyze_and_facts_do_not_load_the_oracle(argv, code):
-    assert _run_in_fresh_process(*argv) == f"oracle loaded: False exit: {code}"
+    assert _run_in_fresh_process(*argv) == f"oracle loaded: False dataclasses loaded: False exit: {code}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,7 +409,7 @@ def test_import_analyze_and_facts_do_not_load_the_oracle(argv, code):
     ["compare", "--json", "--oracle-budget", "2", str(corpus_path("loop_store_overwrite"))],
 ])
 def test_oracle_and_compare_load_the_oracle_when_they_run(argv):
-    assert _run_in_fresh_process(*argv) == "oracle loaded: True exit: 0"
+    assert _run_in_fresh_process(*argv) == "oracle loaded: True dataclasses loaded: False exit: 0"
 
 
 def test_every_public_name_resolves_and_is_listed():

@@ -144,6 +144,12 @@ def test_violations_only_records_nothing_else(option):
     assert getattr(OracleConfig(**{option: True}), option)
 
 
+def test_trace_collection_checks_the_copied_config():
+    # collect_traces turns on record_traces in a copy, which must pass the same checks
+    with pytest.raises(ValueError, match="violations_only records no flows"):
+        collect_traces(load_corpus("three_priorities"), OracleConfig(violations_only=True))
+
+
 def test_nested_invocations_reach_all_three_levels():
     # the low handler's late assert can observe writes of both higher handlers
     p = parse_program(
