@@ -6,124 +6,115 @@ handlers have strictly lower priority, so activation frames form a stack of
 strictly increasing priorities), plus a free-preemption variant that models
 plain threads. Enumeration is bounded by per-handler invocation budgets and a
 loop unroll limit; invocation is never mandatory, so every stack-empty point
-doubles as a possible end of execution.
+doubles as a possible end of execution. Preemption happens only between
+instructions.
 
-Preemption happens only between instructions; a single instruction is atomic.
+A state of the search is the tuple `(frames, global_env, writers, budgets,
+trace)`: `global_env[i]` is the value of global i, `writers[i]` the `NodeId`
+of the store that wrote it (None for the initial value), `budgets[h]` the
+invocations handler h has left, and `trace` the traced nodes stepped so far,
+or `()` unless traces are recorded. The first four slots are the scheduler
+state. A frame is `(handler index, node index, locals, loops)`, with locals
+as sorted `(name, value)` pairs and loops as sorted `(loop head index,
+iterations)` pairs. Under interrupt semantics the frames are the activation
+stack, innermost last; under thread semantics their order carries no meaning,
+so they are kept sorted and equal states compare equal.
 
-A state of the search is the plain tuple `(frames, global_env, writers,
-budgets, trace)`: `global_env[i]` is the value of global i, `writers[i]` the
-`NodeId` of the store that wrote it (None while the initial value stands),
-`budgets[h]` the invocations handler h has left, and `trace` the traced
-nodes stepped so far, or `()` unless traces are recorded. The first four
-slots are the scheduler state. A frame is `(handler index, node index,
-locals, loops)`, with locals as sorted `(name, value)` pairs and loops as
-sorted `(loop head index, iterations)` pairs. Under interrupt semantics the
-frames are the activation stack, innermost last; under thread semantics
-their order carries no meaning, so they are kept sorted and equal states
-compare equal.
+A condition that reads no variable is decided once, with its evaluator, when
+the step tables are built (`*` and any condition that reads a variable are
+not). An assertion that holds can never fail: it has no assertion bit, so
+`violated` never lists it. An assumption that holds is invisible (below). An
+assumption that fails stays visible, as a frame may rest there stuck while
+higher handlers preempt it, but the reach masks (below) carry nothing past it.
 
-A frame rests only at a visible node. An invisible node is a `Skip` or an
-`assume(*)` that is neither a loop head, a loop's exit arm nor the exit, and
-has no back edge out: the entry, the branch joins, and the arms of `if (*)`
-and the body arm of `while (*)`. Its step is always enabled, reads and
+A frame rests only at a visible node. An invisible node is a `Skip`, or an
+assumption on `*` or on a condition that holds, that is neither a loop head,
+a loop's exit arm nor the exit, and has no back edge out: the entry, the
+branch joins and such branch arms. Its step is always enabled, reads and
 writes nothing and is never traced, so the step that reaches it goes on to
 the nearest visible nodes in that same step (Lipton's reduction, done
-statically). Loop heads stay, because the step into a head carries the loop
-count; so do exit arms, whose step drops it. A step into the exit pops the
-frame in that same step. Each handler has a step table, built once from its
-graph: row i, for the node of index i, is the tuple
+statically). Loop heads stay, as the step into a head carries the loop count,
+and so do exit arms, whose step drops it. A step into the exit pops the frame.
+Each handler has a step table; row i, for the node of index i, is the tuple
 - the instruction kind;
 - its evaluator: the expression of an assignment, or the condition of an
   assumption or assertion (None for `*`), compiled into a function of
   `(global_env, locals)` that reads globals by index;
 - its successor steps as `(target index, is back edge, index of the loop
-  head it exits or -1)`, where a target is the nearest visible node on each
-  out-edge, or -1 for the exit, listed once each (`if (*) {} else {}`
-  reaches its join over both arms);
+  head it exits or -1)`, each listed once, where a target is the nearest
+  visible node on an out-edge, or -1 for the exit;
 - the indices of the globals it reads, and its conflict mask (see below);
 - the mask of the assertions reachable from the node (see below);
-- its `NodeId`, which is what flows, traces and assertion values report;
+- its `NodeId`, which flows, traces and assertion values report;
 - the index of the global it writes, or -1; and the instruction.
 Forward edges go up in node index and back edges end at loop heads, so the
-targets are computed in one descending pass, without recursion. The starts
-of a handler are its entry's targets: a handler whose first statement
-branches starts at either arm, and an empty handler returns as it starts.
-The globals a node reads and writes are the `loads` and `store` of the
-access facts (`cfg.access_info`), taken as given when the caller has them.
+targets are computed in one descending pass. A handler starts at its entry's
+targets, and an empty handler returns as it starts. The globals a node reads
+and writes are the `loads` and `store` of `cfg.access_info`, taken as given
+when the caller has them.
 
 `_search` is the one stepping loop, for both semantics. It pops a state,
 steps each frame that may move (or the ample frame alone, see below) and
-starts each handler that may start, pushing every successor state straight
-onto the stack. A step's flows are recorded at one site, once its outcomes
-are known, and only if it has one: a branch arm whose condition fails
-records none. A failing assertion clears its bit in the mask of the open
-assertions (see below), and `violated` is read off that mask at the end.
+starts each handler that may start, pushing every successor state. A step
+records its flows once its outcomes are known, and only if it has one. A
+failing assertion clears its bit in the mask of the open assertions, which
+`violated` is read off at the end.
 
-Unless traces are recorded, the search applies static partial-order reduction
-with a singleton ample set. A node's conflict mask has a bit for each handler
-whose steps may not commute with the node's step. Under interrupt semantics
-these are the handlers of higher priority that write a global the step
-reads, or read or write the global it writes; an assertion is a step like
-any other. Until the innermost frame steps, only handlers of higher priority
-with budget left can run, and budgets only fall. So when the mask shares no
-bit with `live`, the mask of the handlers with budget left, the step
-commutes with everything that could run before it, and that frame steps
-alone. Under thread semantics the mask is 0 at a local-only node, one that
-reads no global, writes no global and is not an assertion (a loop head, for
-one). Anywhere else it is the bit `always`, which no handler owns and
-`live` always carries. The first frame in frame order whose mask is clear
-steps alone. The guard: the reduction applies only when that step has at
-least one successor. A dead-end step, such as a loop body's last node whose
-back edge exceeds the unroll bound, ends the path, and the invocations
-offered at that state are then the only way on. The state graph is acyclic
-(budgets fall and loop counts are bounded), so no cycle proviso is needed.
-The reduction keeps every violation, flow, assertion value, truncation and
-distinct end state; it only explores fewer states on the way.
-
-Skipping invisible nodes is sound beside it: the reduction stepped each
-invisible node alone anyway, and that step always has a successor, so the
-search follows the same paths and only leaves out the states in between.
-With traces recorded, a handler that would have run while a frame rested at
-an invisible node runs while it rests at the next visible node instead, to
-the same trace and state; the exit likewise.
+Unless traces are recorded, the search applies static partial-order
+reduction with a singleton ample set. A node's conflict mask has a bit for
+each handler whose steps may not commute with the node's step. Under
+interrupt semantics these are the handlers of higher priority that write a
+global the step reads, or read or write the global it writes; an assertion
+is a step like any other. Until the innermost frame steps, only handlers of
+higher priority with budget left can run, and budgets only fall. So when the
+mask shares no bit with `live`, the mask of the handlers with budget left,
+the step commutes with everything that could run before it, and that frame
+steps alone. Under thread semantics the mask is 0 at a node that reads and
+writes no global and is not an assertion, and anywhere else the bit
+`always`, which no handler owns and `live` always carries; the first frame
+whose mask is clear steps alone. The reduction applies only when that step
+has a successor: a dead-end step, such as a back edge past the unroll bound,
+ends the path, and the invocations offered at that state are then the only
+way on. The state graph is acyclic (budgets fall and loop counts are
+bounded), so no cycle proviso is needed. The reduction keeps every
+violation, flow, assertion value, truncation and distinct end state.
+Skipping invisible nodes is sound beside it: the reduction stepped each one
+alone anyway, and that step always has a successor. With traces recorded, a
+handler that would have run while a frame rested at an invisible node runs
+at the next visible node instead, to the same trace and state.
 
 `violations_only` is the configuration `compare` runs, since it reads only
-`violated`. Writers feed only flows and the execution count, so it never
-updates the writers slot, and states that differ only in who wrote a global
-are one state. It also drops every state from which no assertion still open
-(not yet violated) can be reached. Each assertion has a bit, in graph order,
-and each row the mask of the assertions reachable from its node in the
-handler's graph, back edges included: a descending pass, repeated until
-nothing changes, since a node late in a loop body reaches the assertions
-early in it. A handler's mask is its entry's. A popped state is dropped,
-before dedup, when the open assertions share no bit with the masks of its
-frames' nodes and of the handlers with budget left. That keeps `violated`
-as it is: every future of a state steps its frames onward or starts a
-handler that has budget now (budgets only fall), so those masks cover every
-assertion a future can fail, and the open set only shrinks. The ample-set
-choice does not read it. The initial state is explored whatever it reaches,
-so a program without assertions explores that state alone. `executions` and
-`truncated` describe only the explored part, and are at most those of the
-full search. Fewer states are explored, so the `max_executions` and
-`max_states` ceilings are reached later, and `compare` marks the oracle
-`skipped` only where the full search would have been skipped too.
+`violated`. It never updates the writers slot, which feeds only flows and
+the execution count, so states that differ only in who wrote a global are
+one state. It also drops every state from which no open (not yet violated)
+assertion can be reached. Each assertion that may fail has a bit, in graph
+order, and each row the mask of the assertions reachable from its node, back
+edges included: a descending pass, repeated until nothing changes. A
+handler's mask is its entry's. A popped state is dropped, before dedup, when
+the open assertions share no bit with the masks of its frames' nodes and of
+the handlers with budget left: every future of the state steps its frames
+onward or starts a handler that has budget now, and the open set only
+shrinks. The ample-set choice does not read the masks. The initial state is
+always explored, so a program with no assertion that may fail explores that
+state alone. `executions` and `truncated` then describe only the explored
+part, and the `max_executions` and `max_states` ceilings are reached only
+where the full search reaches them.
 
 Which handlers may start over an innermost frame of handler h is fixed per
 h: under interrupt semantics those of strictly higher priority, under thread
 semantics all of them; an empty stack offers every handler.
 
-The search visits each state once. Unless traces are recorded the trace slot
-is `()`, so that is each scheduler state once. With traces recorded, two
-paths that reach the same scheduler state with the same trace are one state:
-they have the same futures, so merging them loses no trace, violation or
-truncation. `executions` then counts distinct (end state, trace) pairs
-rather than paths. The order in which states are explored does not change
-what is found, as dedup visits the whole reachable set.
+The search visits each state once; unless traces are recorded the trace
+slot is `()`, so that is each scheduler state once. With traces recorded,
+two paths that reach the same scheduler state with the same trace are one
+state, as they have the same futures; `executions` then counts distinct (end
+state, trace) pairs. The order in which states are
+explored does not change what is found, as dedup visits the whole reachable
+set.
 
-The cyclic garbage collector is paused while the search runs and the
-caller's setting is restored after it. The search builds only acyclic tuples,
-so reference counting frees all of its garbage, and the generation-0
-collections its many small allocations would trigger find nothing to free.
+The cyclic garbage collector is paused while the search runs, and the
+caller's setting restored after it: reference counting frees the acyclic
+tuples the search builds.
 """
 
 from __future__ import annotations
@@ -234,7 +225,13 @@ def _compile(e: Expr | Cmp, gidx: dict[str, int]) -> Callable[[tuple, tuple], in
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _targets(g: Cfg) -> list[tuple[tuple[int, bool, int], ...]]:
+def _fixed(ins, gidx: dict[str, int]) -> bool | None:
+    """The value of the condition of `ins` if it has one that reads no variable, else None."""
+    cond = getattr(ins, "cond", NONDET)
+    return None if type(cond) is Nondet or any(cond_vars(cond)) else _compile(cond, gidx)((), ())
+
+
+def _targets(g: Cfg, fixed: list[bool | None]) -> list[tuple[tuple[int, bool, int], ...]]:
     """Per node, by index: its successor steps to the nearest visible nodes, -1 for the exit.
 
     A forward edge goes up in node index and a back edge ends at a loop head, which is
@@ -242,9 +239,8 @@ def _targets(g: Cfg) -> list[tuple[tuple[int, bool, int], ...]]:
     """
     last = len(g.nodes) - 1
     stays = g.loop_heads | g.loop_exits.keys() | {s for s, _ in g.back_edges} | {last}
-    invisible = [i not in stays and (type(ins) is Skip
-                                     or (type(ins) is Assume and type(ins.cond) is Nondet))
-                 for i, ins in enumerate(g.instr)]
+    invisible = [i not in stays and (type(ins) is Skip or (type(ins) is Assume and (
+                     type(ins.cond) is Nondet or fixed[i]))) for i, ins in enumerate(g.instr)]
     targets: list[tuple[tuple[int, bool, int], ...]] = [()] * len(g.nodes)
     for i in range(last, -1, -1):
         steps: dict[tuple[int, bool, int], None] = {}  # ordered, each step once
@@ -258,17 +254,20 @@ def _targets(g: Cfg) -> list[tuple[tuple[int, bool, int], ...]]:
     return targets
 
 
-def _reachable_asserts(g: Cfg, own: list[int]) -> list[int]:
+def _reachable_asserts(g: Cfg, own: list[int], stuck: set[int]) -> list[int]:
     """Per node, by index: the union of `own` over the nodes reachable from it, itself included.
 
-    A descending pass sees every forward edge's target done, but a back edge's loop head
-    only as it was before the pass, so the pass repeats until nothing changes.
+    Nothing is reachable past a `stuck` node. A descending pass sees every forward edge's
+    target done, but a back edge's loop head only as it was before the pass, so the pass
+    repeats until nothing changes.
     """
     reach = list(own)
     changed = True
     while changed:
         changed = False
         for i in range(len(reach) - 1, -1, -1):
+            if i in stuck:
+                continue
             mask = reach[i]
             for s in g.succs[i]:
                 mask |= reach[s]
@@ -298,12 +297,16 @@ class _Enumerator:
         # the globals each handler reads and writes
         self.uses = [({i for node in r for i in node}, {i for i in w if i >= 0})
                      for r, w in zip(reads, writes)]
-        targets = [_targets(g) for g in self.cfgs]
-        # one bit per assertion, in graph order; per node, the assertions reachable from it
+        # one bit per assertion that may fail, in graph order; per node, those reachable from it
         self.assert_bits: dict[str, int] = {}
-        asserts = [_reachable_asserts(g, [
-            self.assert_bits.setdefault(ins.uid, 1 << len(self.assert_bits))
-            if type(ins) is Assert else 0 for ins in g.instr]) for g in self.cfgs]
+        targets, asserts = [], []
+        for g in self.cfgs:
+            fixed = [_fixed(ins, self.gidx) for ins in g.instr]
+            targets.append(_targets(g, fixed))
+            own = [self.assert_bits.setdefault(ins.uid, 1 << len(self.assert_bits))
+                   if type(ins) is Assert and not fixed[i] else 0 for i, ins in enumerate(g.instr)]
+            stuck = {i for i, ins in enumerate(g.instr) if type(ins) is Assume and fixed[i] is False}
+            asserts.append(_reachable_asserts(g, own, stuck))
         self.table = [self._rows(h, g, targets[h], reads[h], writes[h], asserts[h])
                       for h, g in enumerate(self.cfgs)]
         # per handler, the nodes it may start at: the entry's (node 0's) targets

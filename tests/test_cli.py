@@ -240,6 +240,33 @@ def test_compare_reports_all_columns(capsys):
     assert payload["pairs"]["total"] == 2
 
 
+def test_compare_an_assertion_that_always_holds(capsys, tmp_path):
+    src = tmp_path / "holds.irq"
+    src.write_text("global x = 0;\n"
+                   "handler lo priority 0 { x = 1; assert(1 < 2); }\n"
+                   "handler hi priority 1 { x = 2; }\n")
+    code, out, _ = run_cli(capsys, "compare", "--json", str(src))
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["pruning"], row["no_pruning"], row["oracle"]) == ("Proved", "Proved", "ok")
+
+
+def test_oracle_output_on_constant_conditions(capsys, tmp_path):
+    # the oracle decides these conditions once; what it prints stays as it was
+    src = tmp_path / "constant.irq"
+    src.write_text("global x = 0;\n"
+                   "handler lo priority 0 { if (1 < 2) { x = 1; } else { x = 2; }"
+                   " while (0 == 0) { x = x + 1; } assert(x == 1); }\n"
+                   "handler hi priority 1 { if (2 > 3) { x = 5; } assert(x <= 2); }\n")
+    code, out, _ = run_cli(capsys, "oracle", "--track-flows", "--oracle-budget", "2", str(src))
+    assert code == 0
+    flows = [("hi:5", "lo:3"), ("hi:5", "lo:9"), ("lo:9", "lo:3"), ("lo:9", "lo:9")]
+    assert out == json.dumps({
+        "violated": ["hi#0"], "executions": 2, "truncated": True,
+        "flows": [{"load": load, "store": store, "var": "x"} for load, store in flows],
+    }, indent=2) + "\n"
+
+
 def test_compare_human_table(capsys):
     code, out, _ = run_cli(capsys, "compare", str(corpus_path("three_priorities")))
     assert code == 0

@@ -15,12 +15,12 @@ from irqverify import (
 )
 from irqverify.analyzer import analyze
 from irqverify.cfg import build_all
-from irqverify.ir import Assume, Nondet, Skip
+from irqverify.ir import Assume, Nondet, Skip, cond_vars
 from irqverify.oracle import _Enumerator
 
 from conftest import CORPUS_NAMES, load_corpus
 from progen import random_program
-from test_oracle_reference import INVISIBLE_NODE_SHAPES
+from test_oracle_reference import INVISIBLE_NODE_SHAPES, _Unreduced
 
 
 def first_action(program, handler):
@@ -280,17 +280,24 @@ def test_step_targets_are_the_nearest_visible_nodes():
     programs = ([load_corpus(name) for name in CORPUS_NAMES]
                 + [parse_program(text) for text in INVISIBLE_NODE_SHAPES.values()]
                 + [random_program(random.Random(seed)) for seed in range(200)])
-    shapes = {"several starts": 0, "a start at the exit": 0, "a target reached twice": 0}
+    shapes = {"several starts": 0, "a start at the exit": 0, "a target reached twice": 0,
+              "an invisible arm whose condition holds": 0}
     for p in programs:
         enumerator = _Enumerator(p, OracleConfig(), interrupt=True)
+        walk = _Unreduced(p, OracleConfig(), True)._eval_cmp
         for g, rows, (_, starts) in zip(enumerator.cfgs, enumerator.table, enumerator.starts):
             last = len(g.nodes) - 1
+            # assumptions on `*`, or on a condition that reads no variable and holds
+            holds = {i for i, ins in enumerate(g.instr) if type(ins) is Assume and (
+                type(ins.cond) is Nondet or (not any(cond_vars(ins.cond))
+                                             and walk(ins.cond, (), ())))}
             invisible = {
                 i for i, ins in enumerate(g.instr)
                 if i != last and not any((i, s) in g.back_edges for s in g.succs[i])
                 and ((type(ins) is Skip and i not in g.loop_heads)
-                     or (type(ins) is Assume and type(ins.cond) is Nondet
-                         and i not in g.loop_exits))}
+                     or (i in holds and i not in g.loop_exits))}
+            shapes["an invisible arm whose condition holds"] += any(
+                type(g.instr[i].cond) is not Nondet for i in holds & invisible)
 
             def nodes(targets):
                 found = [last if t < 0 else t for t in targets]
